@@ -18,7 +18,10 @@
 //! Determinism contract: with early-exit off, [`agent_batch`] is
 //! bit-identical to [`agent_batch_sequential`] for any worker count —
 //! every chain derives its RNG from `(seed, problem, level, model,
-//! chain)` and shares no mutable state. With early-exit on, the batch
+//! chain)` and shares no mutable state. The chains of a batch draft and
+//! redraft from one shared [`Prompt`] plan (DESIGN.md §5l); its lazily
+//! filled fields are functions of the prompt alone, so which chain fills
+//! them first cannot change a sample. With early-exit on, the batch
 //! commits the *lowest-indexed* passing chain: chains below it always run
 //! to completion (they could win), only chains above it are cancelled, so
 //! the reported outcome is still worker-count-invariant even though
@@ -40,7 +43,7 @@ use dda_core::align::ALIGN_INSTRUCT;
 use dda_core::repair::REPAIR_INSTRUCT;
 use dda_runtime::{run_supervised, CancelToken, RetryPolicy, RunOptions, UnitOutcome};
 use dda_sim::{EvalMode, SimOptions, MAX_BATCH_LANES};
-use dda_slm::{GenOptions, Slm};
+use dda_slm::{GenOptions, Prompt, Slm};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -131,8 +134,9 @@ pub fn agent_episode(
     let mut rng = SmallRng::seed_from_u64(
         protocol.seed ^ fnv(problem.id) ^ ((level as u64) << 40) ^ fnv(&model.profile().name),
     );
-    let prompt = &problem.prompts[level];
-    let mut candidate = model.generate(ALIGN_INSTRUCT, prompt, &opts, &mut rng);
+    // Draft and redraft sample one plan: the retrieval runs once.
+    let draft = model.prompt(ALIGN_INSTRUCT, &problem.prompts[level], &[]);
+    let mut candidate = draft.generate(&opts, &mut rng);
     let file = format!("{}.v", problem.module_name);
     let mut repaired_by_loop = false;
     let mut iterations = 1;
@@ -151,7 +155,7 @@ pub fn agent_episode(
             break;
         }
         // Repair failed: redraft from the prompt with a fresh sample.
-        candidate = model.generate(ALIGN_INSTRUCT, prompt, &opts, &mut rng);
+        candidate = draft.generate(&opts, &mut rng);
     }
     let lint_clean = dda_lint::check_source(&file, &candidate).is_clean();
     let function = if lint_clean {
@@ -374,11 +378,14 @@ fn tool_stall(protocol: &AgentProtocol, cancel: &CancelToken) {
 /// `protocol.max_feedback_iters` rounds of lint → simulate → feed the
 /// transcript back through the repair pathway. Every round emits an
 /// `agent.round` span/counter/trace-event; the chain emits `agent.chain`.
+/// `draft` is the batch's shared plan for the problem prompt.
+#[allow(clippy::too_many_arguments)]
 fn run_chain(
     model: &Slm,
     problem: &VerilogProblem,
     level: usize,
     chain: usize,
+    draft: &Prompt<'_>,
     context: &[String],
     opts: &AgentBatchOptions,
     cancel: &CancelToken,
@@ -389,12 +396,11 @@ fn run_chain(
         temperature: opts.protocol.temperature,
     };
     let mut rng = SmallRng::seed_from_u64(chain_seed(&opts.protocol, model, problem, level, chain));
-    let prompt = &problem.prompts[level];
     let file = format!("{}.v", problem.module_name);
     let mut sim = testbench_sim_options(cancel);
     sim.eval_mode = opts.eval_mode;
 
-    let mut candidate = model.generate(ALIGN_INSTRUCT, prompt, &gen, &mut rng);
+    let mut candidate = draft.generate(&gen, &mut rng);
     tool_stall(&opts.protocol, cancel);
     let mut repaired_by_loop = false;
     let mut rounds = 0usize;
@@ -447,7 +453,7 @@ fn run_chain(
             repaired_by_loop = true;
         } else {
             // Repair failed: redraft from the prompt with a fresh sample.
-            candidate = model.generate(ALIGN_INSTRUCT, prompt, &gen, &mut rng);
+            candidate = draft.generate(&gen, &mut rng);
             tool_stall(&opts.protocol, cancel);
             repaired_by_loop = false;
         }
@@ -549,6 +555,7 @@ pub fn agent_batch_sequential(
 ) -> AgentBatchOutcome {
     let _span = dda_obs::span("agent.batch");
     let never = CancelToken::new();
+    let draft = model.prompt(ALIGN_INSTRUCT, &problem.prompts[level], &[]);
     let mut chains = Vec::with_capacity(opts.k);
     for chain in 0..opts.k {
         if opts.early_exit && chains.iter().any(ChainOutcome::passed) {
@@ -556,7 +563,7 @@ pub fn agent_batch_sequential(
             continue;
         }
         chains.push(run_chain(
-            model, problem, level, chain, context, opts, &never,
+            model, problem, level, chain, &draft, context, opts, &never,
         ));
     }
     let out = assemble(chains, opts.early_exit);
@@ -611,6 +618,8 @@ pub fn agent_batch(
             quarantined: 0,
         };
     }
+    // One draft plan for the batch, shared read-only by every worker.
+    let draft = model.prompt(ALIGN_INSTRUCT, &problem.prompts[level], &[]);
     // Lowest-indexed passing chain so far: the early-exit floor.
     let best = AtomicUsize::new(usize::MAX);
     // Cancellation handles for in-flight chains, indexed by chain.
@@ -633,7 +642,7 @@ pub fn agent_batch(
         // one chain without touching its siblings.
         let sib = token.child();
         *inflight[chain].lock().unwrap() = Some(sib.clone());
-        let out = run_chain(model, problem, level, chain, context, opts, &sib);
+        let out = run_chain(model, problem, level, chain, &draft, context, opts, &sib);
         *inflight[chain].lock().unwrap() = None;
         if opts.early_exit && out.passed() {
             let mut cur = best.load(Ordering::Acquire);

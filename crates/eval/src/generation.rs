@@ -314,6 +314,8 @@ pub fn eval_cell_with(
     let opts = GenOptions {
         temperature: protocol.temperature,
     };
+    // One plan for the k samples: retrieval and interface fits run once.
+    let plan = model.prompt(ALIGN_INSTRUCT, prompt, &[]);
     let mut syntax_errors = 0;
     let mut clean: Vec<String> = Vec::new();
     for i in 0..protocol.k {
@@ -326,7 +328,7 @@ pub fn eval_cell_with(
                 .wrapping_add(hash_id(&model.profile().name))
                 .wrapping_add(i as u64),
         );
-        let out = model.generate(ALIGN_INSTRUCT, prompt, &opts, &mut rng);
+        let out = plan.generate(&opts, &mut rng);
         let report = dda_lint::check_source("gen.v", &out);
         if !report.is_clean() {
             syntax_errors += 1;

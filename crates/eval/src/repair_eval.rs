@@ -149,6 +149,8 @@ fn eval_repair_ctx(
     let opts = GenOptions {
         temperature: protocol.temperature,
     };
+    // One plan for the k samples: the fix search runs at most once.
+    let plan = model.prompt(REPAIR_INSTRUCT, &input, &context);
     let mut syntax_errors = 0;
     let mut clean: Vec<String> = Vec::new();
     for i in 0..protocol.k {
@@ -157,7 +159,7 @@ fn eval_repair_ctx(
                 ^ hash_id(problem.id)
                 ^ hash_id(&model.profile().name).rotate_left(17),
         );
-        let out = model.generate_with_context(REPAIR_INSTRUCT, &input, &context, &opts, &mut rng);
+        let out = plan.generate(&opts, &mut rng);
         if !dda_lint::check_source("fix.v", &out).is_clean() {
             syntax_errors += 1;
             continue;

@@ -51,6 +51,7 @@ impl Default for ScriptProtocol {
 /// Evaluates one model on one task.
 pub fn eval_script(model: &Slm, task: &ScTask, protocol: &ScriptProtocol) -> ScriptCell {
     let opts = GenOptions { temperature: 0.1 };
+    let plan = model.prompt(EDA_INSTRUCT, &task.prompt, &[]);
     let mut syn_iter = None;
     let mut func_iter = None;
     for i in 0..protocol.max_iters {
@@ -66,7 +67,7 @@ pub fn eval_script(model: &Slm, task: &ScTask, protocol: &ScriptProtocol) -> Scr
         }
         let mut rng =
             SmallRng::seed_from_u64(protocol.seed.wrapping_mul(7919) ^ h.wrapping_add(i as u64));
-        let out = model.generate(EDA_INSTRUCT, &task.prompt, &opts, &mut rng);
+        let out = plan.generate(&opts, &mut rng);
         if syn_iter.is_none() && task.check_syntax(&out) {
             syn_iter = Some(i + 1);
         }

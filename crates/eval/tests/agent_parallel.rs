@@ -12,7 +12,9 @@
 //! 3. **Span ↔ outcome reconciliation**: one trace file plus the counter
 //!    registry reconcile exactly with the returned [`AgentBatchOutcome`]
 //!    (rounds, chains, winner), under the `OBS_LOCK` discipline of
-//!    `crates/sim/tests/obs_batch.rs`.
+//!    `crates/sim/tests/obs_batch.rs`. The recorder is process-global, so
+//!    every test in this binary holds `OBS_LOCK`: a batch running beside
+//!    the reconcile test would otherwise land in its counters.
 //! 4. **Engine invariance**: lockstep lanes (`runs_per_batch`) and the
 //!    batch simulator change wall-clock only, never an outcome.
 
@@ -29,9 +31,14 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
+/// Serializes a test against every other test in this binary.
+fn serial() -> MutexGuard<'static, ()> {
+    OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Serializes recorder access and hands back a clean, enabled recorder.
 fn recorder() -> MutexGuard<'static, ()> {
-    let guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let guard = serial();
     dda_obs::reset();
     dda_obs::enable();
     guard
@@ -120,6 +127,7 @@ proptest! {
         seed in 0u64..1000,
         use_rag in any::<bool>(),
     ) {
+        let _g = serial();
         let suite = thakur_suite();
         let problem = &suite[pi % suite.len()];
         let mut o = opts(k, rounds, 1, false);
@@ -144,6 +152,7 @@ proptest! {
 /// speculative work each worker count happened to do.
 #[test]
 fn early_exit_commit_is_worker_invariant() {
+    let _g = serial();
     let suite = thakur_suite();
     for (pi, level) in [(0usize, 2usize), (3, 1), (5, 2), (11, 0)] {
         let problem = &suite[pi];
@@ -172,6 +181,7 @@ fn early_exit_commit_is_worker_invariant() {
 /// ones: outcomes are bit-identical across `runs_per_batch` and engines.
 #[test]
 fn lockstep_scoring_cannot_change_outcomes() {
+    let _g = serial();
     let suite = thakur_suite();
     let problem = &suite[2];
     let base = opts(3, 2, 2, false);

@@ -29,7 +29,11 @@ pub struct FixOutcome {
 /// the first reported error, keep the candidate with the fewest remaining
 /// errors, and repeat. Purely syntactic/semantic — functional correctness
 /// is up to the fix actually being the right one.
+///
+/// Each call counts one `slm.fixer.search` in the `dda-obs` recorder (a
+/// no-op while it is disabled), so tests can pin how often callers search.
 pub fn try_fix(file_name: &str, wrong: &str, budget: usize) -> FixOutcome {
+    dda_obs::count("slm.fixer.search", 1);
     let mut current = wrong.to_owned();
     let mut cost = 0usize;
     let (mut current_errors, mut current_sig) = error_state(file_name, &current, &mut cost);

@@ -40,7 +40,8 @@ pub mod sharded;
 pub mod tfidf;
 
 pub use model::{
-    pretraining_dataset, GenOptions, Skills, Slm, SlmProfile, TrainOptions, PROGRESSIVE_ORDER,
+    pretraining_dataset, GenOptions, Prompt, Skills, Slm, SlmProfile, TrainOptions,
+    PROGRESSIVE_ORDER,
 };
 pub use ngram::NgramModel;
 pub use sharded::{ShardHit, ShardedTfIdf};

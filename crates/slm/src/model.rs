@@ -22,11 +22,11 @@
 //! syntax-error counts, repair success — is measured behaviour through the
 //! real linter and simulator.
 
-use crate::adapt::{adapt_interface, parse_interface};
+use crate::adapt::{adapt_interface, parse_interface, InterfaceSpec};
 use crate::corrupt::corrupt;
-use crate::fixer::try_fix;
+use crate::fixer::{try_fix, FixOutcome};
 use crate::ngram::{padded_syms, NgramModel};
-use crate::tfidf::TfIdfIndex;
+use crate::tfidf::{Hit, TfIdfIndex};
 use dda_core::align::ALIGN_INSTRUCT;
 use dda_core::edascript::EDA_INSTRUCT;
 use dda_core::intern::Sym;
@@ -36,6 +36,7 @@ use dda_core::{DataEntry, Dataset, TaskKind};
 use dda_runtime::{run_supervised, RunOptions, UnitOutcome};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
 
 /// A model personality: capacity plus pretrained skill floors.
 #[derive(Debug, Clone, PartialEq)]
@@ -357,7 +358,9 @@ impl Slm {
     /// Generates a response for `(instruct, input)`.
     ///
     /// Deterministic per `rng` state; draw `k` samples with fresh seeds for
-    /// pass@k protocols.
+    /// pass@k protocols. One sample of [`Slm::prompt`]: a loop drawing
+    /// several samples from one prompt should build the plan once and call
+    /// [`Prompt::generate`] per sample instead.
     pub fn generate<R: Rng + ?Sized>(
         &self,
         instruct: &str,
@@ -365,167 +368,7 @@ impl Slm {
         opts: &GenOptions,
         rng: &mut R,
     ) -> String {
-        if instruct == REPAIR_INSTRUCT {
-            return self.generate_repair(input, &[], opts, rng);
-        }
-        if instruct == EDA_INSTRUCT {
-            // A model with EDA-script skill inverts the describer and
-            // constructs the script directly; fidelity gates how faithfully
-            // constraints survive. Unskilled models fall through to plain
-            // retrieval + corruption.
-            if rng.gen::<f64>() < 0.03 + 0.97 * self.skills.eda {
-                let spec = crate::script_spec::extract_script_spec(input);
-                if spec.sufficient() {
-                    let script = crate::script_spec::construct_script(&spec, self.skills.eda, rng);
-                    return script.to_python();
-                }
-            }
-        }
-        let task_skill = self.route_skill(instruct);
-        let quality_skill = if instruct == EDA_INSTRUCT {
-            self.skills.eda
-        } else {
-            self.skills.code
-        };
-        // Retrieve with alignment-dependent jitter. Instruction tuning
-        // conditions generation on the task: when any example of the
-        // requested task matches at all, examples of other tasks are out of
-        // the running (a short completion prefix can out-cosine a long
-        // description on shared port tokens, but a tuned model does not
-        // answer a design request with a next-token guess).
-        let query = format!("{instruct}\n{input}");
-        // The hot path goes through the postings index, always; the
-        // linear scan exists only for the equivalence batteries behind
-        // the doc-hidden `set_reference_retrieval` toggle (the obs
-        // regression test in `tests/hot_path_obs.rs` pins this: counter
-        // `slm.query.linear` stays 0 across a normal sweep).
-        let mut hits = if self.reference_retrieval {
-            self.index
-                .try_query_linear(&query, 32)
-                .expect("finetune() finished the index")
-        } else {
-            self.index
-                .try_query(&query, 32)
-                .expect("finetune() finished the index")
-        };
-        if hits.iter().any(|h| self.docs[h.doc].instruct == instruct) {
-            hits.retain(|h| self.docs[h.doc].instruct == instruct);
-        }
-        hits.truncate(8);
-        let n = self.docs.len().max(1) as f64;
-        let jitter = (1.0 - task_skill) * 0.35 * self.cap_mult().max(0.6);
-        let chosen = hits
-            .iter()
-            .map(|h| {
-                let recency = self.profile.recency_weight * (h.doc as f64 / n) * 0.2;
-                let noise = (rng.gen::<f64>() - 0.5) * 2.0 * jitter;
-                // A finetuned model conditions on the instruction: examples
-                // of the requested task outrank lexically-similar examples
-                // of another task (raw completion prefixes share many port
-                // tokens with any interface block).
-                let task_bonus = if self.docs[h.doc].instruct == instruct {
-                    0.2 * task_skill
-                } else {
-                    0.0
-                };
-                (h, h.score + recency + noise + task_bonus)
-            })
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(h, _)| h);
-        // Whether the model "gets" a given request is stable across
-        // low-temperature samples (resampling rarely rescues a model that
-        // misread the spec), so the comprehension roll is hashed from
-        // (prompt, model) with a sliver of per-sample luck. Smaller models
-        // misread more: the threshold scales with capacity.
-        let follow = self.skills.nl * (self.profile.capacity_b / 13.0).powf(0.7).min(1.15);
-        // The hash keys on the prompt alone: prompt difficulty is intrinsic,
-        // so a more capable model's comprehension set strictly contains a
-        // less capable one's (capacity moves the threshold, not the dice).
-        let mut h = 0x100001b3u64;
-        for b in input.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        let det = (h >> 11) as f64 / (1u64 << 53) as f64;
-        let luck: f64 = rng.gen();
-        let roll = if luck < 0.07 { luck / 0.07 } else { det };
-        let understood = roll < follow || instruct != ALIGN_INSTRUCT;
-        // A model that understood the request double-checks near-tied
-        // candidates against the requested interface; one that misread it
-        // lands on a plausible-but-wrong example (the runner-up).
-        let hit = match (chosen, understood) {
-            (Some(h), true) if instruct == ALIGN_INSTRUCT => {
-                let spec = parse_interface(input);
-                if spec.is_empty() {
-                    h
-                } else {
-                    // Among near-tied candidates, best interface fit wins;
-                    // fit ties fall back to retrieval score (so an exact
-                    // description match is never displaced by a sibling).
-                    hits.iter()
-                        .filter(|o| o.score >= h.score - 0.08)
-                        .max_by(|x, y| {
-                            let fx = crate::adapt::interface_fit(&self.docs[x.doc].output, &spec);
-                            let fy = crate::adapt::interface_fit(&self.docs[y.doc].output, &spec);
-                            fx.cmp(&fy).then(x.score.total_cmp(&y.score))
-                        })
-                        .unwrap_or(h)
-                }
-            }
-            (Some(h), true) => h,
-            (Some(h), false) => hits.iter().find(|o| o.doc != h.doc).unwrap_or(h),
-            (None, _) => return self.hallucinate(input, opts, rng),
-        };
-        let doc = &self.docs[hit.doc];
-        let mut output = doc.output.clone();
-        let sim = hit.score;
-        let instruct_match = doc.instruct == instruct;
-        // Interface adaptation for NL→Verilog prompts.
-        if instruct == ALIGN_INSTRUCT {
-            let spec = parse_interface(input);
-            if !spec.is_empty() {
-                if understood {
-                    output = adapt_interface(&output, &spec);
-                } else if roll < follow + 0.45 {
-                    // Partial understanding: only the module name.
-                    let partial = crate::adapt::InterfaceSpec {
-                        module: spec.module.clone(),
-                        ports: Vec::new(),
-                        ports_text: None,
-                    };
-                    output = adapt_interface(&output, &partial);
-                }
-            }
-        }
-        // Corruption channel. Cross-register paraphrase keeps raw cosine
-        // low even for the right document, so similarity only signals
-        // *unfamiliarity*: everything above a small floor is confident
-        // recall, and quality is then governed by code skill and capacity.
-        let mismatch = if instruct_match { 0.0 } else { 0.35 };
-        let sim_n = (sim / 0.15).clamp(0.0, 1.0);
-        let rate = ((0.4 * (1.0 - sim_n) + 0.45 * (1.0 - quality_skill) + mismatch)
-            * self.cap_mult()
-            * (0.6 + opts.temperature))
-            .clamp(0.0, 0.95);
-        let edits = (0..12).filter(|_| rng.gen::<f64>() < rate * 0.35).count();
-        if edits == 0 {
-            output
-        } else {
-            corrupt(&output, edits, rng)
-        }
-    }
-
-    fn route_skill(&self, instruct: &str) -> f64 {
-        if instruct == ALIGN_INSTRUCT {
-            self.skills.nl
-        } else if instruct == EDA_INSTRUCT {
-            self.skills.eda
-        } else if instruct.starts_with("complete the next") {
-            self.skills.code
-        } else {
-            // Unknown task: the weakest relevant capability.
-            self.skills.nl.min(self.skills.code)
-        }
+        self.prompt(instruct, input, &[]).generate(opts, rng)
     }
 
     /// [`generate`](Self::generate) with retrieved few-shot `context`
@@ -548,19 +391,127 @@ impl Slm {
         opts: &GenOptions,
         rng: &mut R,
     ) -> String {
-        if instruct == REPAIR_INSTRUCT {
-            return self.generate_repair(input, context, opts, rng);
-        }
-        self.generate(instruct, input, opts, rng)
+        self.prompt(instruct, input, context).generate(opts, rng)
     }
 
-    fn generate_repair<R: Rng + ?Sized>(
-        &self,
-        input: &str,
+    /// Plans generation for one prompt: everything a sample computes that
+    /// does not depend on the RNG, shared by every sample drawn from it.
+    ///
+    /// The plan is lazy — the retrieval, interface fits and the repair
+    /// search run on the first sample that needs them — so one sample costs
+    /// what a [`Slm::generate`] call costs, and `k` samples pay for the
+    /// shared work once instead of `k` times. `context` conditions the repair
+    /// instruct only (see [`Slm::generate_with_context`]). A plan is
+    /// `Sync`: parallel workers may sample from one plan.
+    ///
+    /// ```
+    /// use dda_core::align::ALIGN_INSTRUCT;
+    /// use dda_slm::{GenOptions, Slm, SlmProfile, PROGRESSIVE_ORDER};
+    /// use rand::{rngs::SmallRng, SeedableRng};
+    ///
+    /// let model = Slm::pretrained(SlmProfile::llama2(7.0));
+    /// let plan = model.prompt(ALIGN_INSTRUCT, "a four bit counter", &[]);
+    /// let opts = GenOptions::default();
+    /// for seed in 0..5 {
+    ///     let sample = plan.generate(&opts, &mut SmallRng::seed_from_u64(seed));
+    ///     let fresh = model.generate(
+    ///         ALIGN_INSTRUCT,
+    ///         "a four bit counter",
+    ///         &opts,
+    ///         &mut SmallRng::seed_from_u64(seed),
+    ///     );
+    ///     assert_eq!(sample, fresh);
+    /// }
+    /// ```
+    pub fn prompt<'a>(
+        &'a self,
+        instruct: &'a str,
+        input: &'a str,
         context: &[String],
-        opts: &GenOptions,
-        rng: &mut R,
-    ) -> String {
+    ) -> Prompt<'a> {
+        Prompt {
+            model: self,
+            instruct,
+            input,
+            repair: (instruct == REPAIR_INSTRUCT).then(|| RepairPlan::new(self, input, context)),
+            script: OnceLock::new(),
+            retrieval: OnceLock::new(),
+            spec: OnceLock::new(),
+        }
+    }
+
+    fn route_skill(&self, instruct: &str) -> f64 {
+        if instruct == ALIGN_INSTRUCT {
+            self.skills.nl
+        } else if instruct == EDA_INSTRUCT {
+            self.skills.eda
+        } else if instruct.starts_with("complete the next") {
+            self.skills.code
+        } else {
+            // Unknown task: the weakest relevant capability.
+            self.skills.nl.min(self.skills.code)
+        }
+    }
+}
+
+/// A per-prompt generation plan (see [`Slm::prompt`]).
+///
+/// Holds what every sample of one `(instruct, input, context)` shares:
+/// the task-filtered top-8 retrieval and the prompt-hashed comprehension
+/// roll, the parsed interface spec and each hit's interface fit, the EDA
+/// script spec, and — for repair prompts — the file name, context
+/// affinity, attempt roll and the outcome of the lint-guided fix search. [`Prompt::generate`] makes only the RNG draws, in the order
+/// [`Slm::generate`] always made them, so a sample from a shared plan is
+/// byte-identical to a fresh `generate` call with the same RNG state.
+pub struct Prompt<'a> {
+    model: &'a Slm,
+    instruct: &'a str,
+    input: &'a str,
+    /// `Some` exactly for [`REPAIR_INSTRUCT`] prompts.
+    repair: Option<RepairPlan<'a>>,
+    /// EDA prompts: the extracted script spec, `None` when insufficient.
+    script: OnceLock<Option<crate::script_spec::ScriptSpec>>,
+    retrieval: OnceLock<Retrieval>,
+    spec: OnceLock<InterfaceSpec>,
+}
+
+impl std::fmt::Debug for Prompt<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Prompt")
+            .field("model", &self.model.profile.name)
+            .field("instruct", &self.instruct)
+            .field("retrieved", &self.retrieval.get().map(|r| r.hits.len()))
+            .finish()
+    }
+}
+
+/// The sample-invariant half of retrieval.
+struct Retrieval {
+    /// Top-32 hits, task-filtered, truncated to 8.
+    hits: Vec<Hit>,
+    /// Prompt-hashed comprehension roll.
+    det: f64,
+    /// Interface fit per hit, computed only for hits a sample compares.
+    fits: Vec<OnceLock<i32>>,
+}
+
+/// The sample-invariant half of the repair path.
+struct RepairPlan<'a> {
+    /// The broken file (the input after its diagnostics).
+    wrong: &'a str,
+    /// File name recovered from the diagnostics.
+    file_name: String,
+    /// Repair skill after the few-shot context boost.
+    eff_repair: f64,
+    attempt_prob: f64,
+    /// Prompt-hashed attempt roll.
+    roll: f64,
+    /// The lint-guided search outcome, run by the first attempting sample.
+    fix: OnceLock<FixOutcome>,
+}
+
+impl<'a> RepairPlan<'a> {
+    fn new(model: &Slm, input: &'a str, context: &[String]) -> Self {
         // Input layout (Fig. 6): "[yosys info], [wrong Verilog file]" or
         // just the wrong file.
         let wrong = match input.find("module ") {
@@ -581,9 +532,9 @@ impl Slm {
         // context contributes exactly 0.0, keeping the no-RAG path
         // bit-identical.
         let ctx_quality = context_affinity(wrong, context);
-        let eff_repair = self.skills.repair + (1.0 - self.skills.repair) * 0.35 * ctx_quality;
+        let eff_repair = model.skills.repair + (1.0 - model.skills.repair) * 0.35 * ctx_quality;
         let attempt_prob =
-            (eff_repair * (self.profile.capacity_b / 13.0).sqrt().min(1.25)).clamp(0.0, 0.98);
+            (eff_repair * (model.profile.capacity_b / 13.0).sqrt().min(1.25)).clamp(0.0, 0.98);
         // Whether a given model can see the fix for a given broken file is
         // (nearly) deterministic — resampling at temperature 0.1 does not
         // rescue a model that lacks the skill. The hash keys on the broken
@@ -596,34 +547,234 @@ impl Slm {
             h = h.wrapping_mul(0x100000001b3);
         }
         let roll = (h >> 11) as f64 / (1u64 << 53) as f64;
+        RepairPlan {
+            wrong,
+            file_name,
+            eff_repair,
+            attempt_prob,
+            roll,
+            fix: OnceLock::new(),
+        }
+    }
+
+    fn generate<R: Rng + ?Sized>(&self, model: &Slm, opts: &GenOptions, rng: &mut R) -> String {
         // A sliver of per-sample luck on top: resampling at low temperature
         // occasionally unlocks an attempt the greedy decode missed.
-        let resample_luck = rng.gen::<f64>() < attempt_prob * 0.1;
-        if roll < attempt_prob || resample_luck {
-            let budget = 150
-                + (1500.0 * eff_repair * (self.profile.capacity_b / 13.0).sqrt().min(1.5)) as usize;
-            let fix = try_fix(&file_name, wrong, budget);
+        let resample_luck = rng.gen::<f64>() < self.attempt_prob * 0.1;
+        if self.roll < self.attempt_prob || resample_luck {
+            // The search is deterministic in (file, budget), so every
+            // attempting sample shares the first one's outcome.
+            let fix = self.fix.get_or_init(|| {
+                let budget = 150
+                    + (1500.0 * self.eff_repair * (model.profile.capacity_b / 13.0).sqrt().min(1.5))
+                        as usize;
+                try_fix(&self.file_name, self.wrong, budget)
+            });
             if fix.clean {
-                return fix.source;
+                return fix.source.clone();
             }
         }
         // No (successful) attempt: echo the broken file, possibly making it
         // worse at higher temperatures.
         let extra = (0..2)
             .filter(|_| {
-                rng.gen::<f64>() < 0.3 * (1.0 - self.skills.repair) * (opts.temperature + 0.4)
+                rng.gen::<f64>() < 0.3 * (1.0 - model.skills.repair) * (opts.temperature + 0.4)
             })
             .count();
         if extra == 0 {
-            wrong.to_owned()
+            self.wrong.to_owned()
         } else {
-            corrupt(wrong, extra, rng)
+            corrupt(self.wrong, extra, rng)
+        }
+    }
+}
+
+impl Prompt<'_> {
+    /// Draws one sample. Deterministic per `rng` state, and byte-identical
+    /// to [`Slm::generate_with_context`] on the plan's prompt with the same
+    /// `rng` state.
+    pub fn generate<R: Rng + ?Sized>(&self, opts: &GenOptions, rng: &mut R) -> String {
+        let model = self.model;
+        let instruct = self.instruct;
+        if let Some(repair) = &self.repair {
+            return repair.generate(model, opts, rng);
+        }
+        if instruct == EDA_INSTRUCT {
+            // A model with EDA-script skill inverts the describer and
+            // constructs the script directly; fidelity gates how faithfully
+            // constraints survive. Unskilled models fall through to plain
+            // retrieval + corruption.
+            if rng.gen::<f64>() < 0.03 + 0.97 * model.skills.eda {
+                let spec = self.script.get_or_init(|| {
+                    let spec = crate::script_spec::extract_script_spec(self.input);
+                    spec.sufficient().then_some(spec)
+                });
+                if let Some(spec) = spec {
+                    let script = crate::script_spec::construct_script(spec, model.skills.eda, rng);
+                    return script.to_python();
+                }
+            }
+        }
+        let task_skill = model.route_skill(instruct);
+        let quality_skill = if instruct == EDA_INSTRUCT {
+            model.skills.eda
+        } else {
+            model.skills.code
+        };
+        let r = self.retrieval();
+        let hits = &r.hits;
+        let n = model.docs.len().max(1) as f64;
+        let jitter = (1.0 - task_skill) * 0.35 * model.cap_mult().max(0.6);
+        let chosen = hits
+            .iter()
+            .enumerate()
+            .map(|(i, h)| {
+                let recency = model.profile.recency_weight * (h.doc as f64 / n) * 0.2;
+                let noise = (rng.gen::<f64>() - 0.5) * 2.0 * jitter;
+                // A finetuned model conditions on the instruction: examples
+                // of the requested task outrank lexically-similar examples
+                // of another task (raw completion prefixes share many port
+                // tokens with any interface block).
+                let task_bonus = if model.docs[h.doc].instruct == instruct {
+                    0.2 * task_skill
+                } else {
+                    0.0
+                };
+                (i, h.score + recency + noise + task_bonus)
+            })
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .map(|(i, _)| i);
+        // Whether the model "gets" a given request is stable across
+        // low-temperature samples (resampling rarely rescues a model that
+        // misread the spec), so the comprehension roll is hashed from the
+        // prompt (`r.det`) with a sliver of per-sample luck. Smaller models
+        // misread more: the threshold scales with capacity.
+        let follow = model.skills.nl * (model.profile.capacity_b / 13.0).powf(0.7).min(1.15);
+        let luck: f64 = rng.gen();
+        let roll = if luck < 0.07 { luck / 0.07 } else { r.det };
+        let understood = roll < follow || instruct != ALIGN_INSTRUCT;
+        // A model that understood the request double-checks near-tied
+        // candidates against the requested interface; one that misread it
+        // lands on a plausible-but-wrong example (the runner-up).
+        let hit = match (chosen, understood) {
+            (Some(c), true) if instruct == ALIGN_INSTRUCT => {
+                let spec = self.spec();
+                if spec.is_empty() {
+                    c
+                } else {
+                    // Among near-tied candidates, best interface fit wins;
+                    // fit ties fall back to retrieval score (so an exact
+                    // description match is never displaced by a sibling).
+                    let floor = hits[c].score - 0.08;
+                    let fit = |i: usize| {
+                        *r.fits[i].get_or_init(|| {
+                            crate::adapt::interface_fit(&model.docs[hits[i].doc].output, spec)
+                        })
+                    };
+                    (0..hits.len())
+                        .filter(|&o| hits[o].score >= floor)
+                        .max_by(|&x, &y| {
+                            fit(x)
+                                .cmp(&fit(y))
+                                .then(hits[x].score.total_cmp(&hits[y].score))
+                        })
+                        .unwrap_or(c)
+                }
+            }
+            (Some(c), true) => c,
+            (Some(c), false) => hits.iter().position(|o| o.doc != hits[c].doc).unwrap_or(c),
+            (None, _) => return self.hallucinate(rng),
+        };
+        let hit = &hits[hit];
+        let doc = &model.docs[hit.doc];
+        let mut output = doc.output.clone();
+        let sim = hit.score;
+        let instruct_match = doc.instruct == instruct;
+        // Interface adaptation for NL→Verilog prompts.
+        if instruct == ALIGN_INSTRUCT {
+            let spec = self.spec();
+            if !spec.is_empty() {
+                if understood {
+                    output = adapt_interface(&output, spec);
+                } else if roll < follow + 0.45 {
+                    // Partial understanding: only the module name.
+                    let partial = InterfaceSpec {
+                        module: spec.module.clone(),
+                        ports: Vec::new(),
+                        ports_text: None,
+                    };
+                    output = adapt_interface(&output, &partial);
+                }
+            }
+        }
+        // Corruption channel. Cross-register paraphrase keeps raw cosine
+        // low even for the right document, so similarity only signals
+        // *unfamiliarity*: everything above a small floor is confident
+        // recall, and quality is then governed by code skill and capacity.
+        let mismatch = if instruct_match { 0.0 } else { 0.35 };
+        let sim_n = (sim / 0.15).clamp(0.0, 1.0);
+        let rate = ((0.4 * (1.0 - sim_n) + 0.45 * (1.0 - quality_skill) + mismatch)
+            * model.cap_mult()
+            * (0.6 + opts.temperature))
+            .clamp(0.0, 0.95);
+        let edits = (0..12).filter(|_| rng.gen::<f64>() < rate * 0.35).count();
+        if edits == 0 {
+            output
+        } else {
+            corrupt(&output, edits, rng)
         }
     }
 
-    fn hallucinate<R: Rng + ?Sized>(&self, input: &str, _opts: &GenOptions, rng: &mut R) -> String {
+    fn spec(&self) -> &InterfaceSpec {
+        self.spec.get_or_init(|| parse_interface(self.input))
+    }
+
+    fn retrieval(&self) -> &Retrieval {
+        self.retrieval.get_or_init(|| {
+            let model = self.model;
+            let instruct = self.instruct;
+            // Retrieve with alignment-dependent jitter. Instruction tuning
+            // conditions generation on the task: when any example of the
+            // requested task matches at all, examples of other tasks are
+            // out of the running (a short completion prefix can out-cosine
+            // a long description on shared port tokens, but a tuned model
+            // does not answer a design request with a next-token guess).
+            let query = format!("{instruct}\n{}", self.input);
+            // The hot path goes through the postings index, always; the
+            // linear scan exists only for the equivalence batteries behind
+            // the doc-hidden `set_reference_retrieval` toggle (the obs
+            // regression test in `tests/hot_path_obs.rs` pins this: counter
+            // `slm.query.linear` stays 0 across a normal sweep).
+            let mut hits = if model.reference_retrieval {
+                model.index.try_query_linear(&query, 32)
+            } else {
+                model.index.try_query(&query, 32)
+            }
+            .expect("finetune() finished the index");
+            if hits.iter().any(|h| model.docs[h.doc].instruct == instruct) {
+                hits.retain(|h| model.docs[h.doc].instruct == instruct);
+            }
+            hits.truncate(8);
+            // The hash keys on the prompt alone: prompt difficulty is
+            // intrinsic, so a more capable model's comprehension set
+            // strictly contains a less capable one's (capacity moves the
+            // threshold, not the dice).
+            let mut h = 0x100001b3u64;
+            for b in self.input.bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x100000001b3);
+            }
+            Retrieval {
+                fits: hits.iter().map(|_| OnceLock::new()).collect(),
+                hits,
+                det: (h >> 11) as f64 / (1u64 << 53) as f64,
+            }
+        })
+    }
+
+    fn hallucinate<R: Rng + ?Sized>(&self, rng: &mut R) -> String {
         // Nothing retrieved: emit a skeleton around the requested interface.
-        let spec = parse_interface(input);
+        let spec = self.spec();
         let name = spec.module.clone().unwrap_or_else(|| "top".to_owned());
         let ports = spec.ports_text.clone().unwrap_or_default();
         let body = if rng.gen_bool(0.5) { "  // TODO\n" } else { "" };
