@@ -300,11 +300,23 @@ pub fn clear() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::MutexGuard;
+
+    /// The cache and its counters are process-global, so a test's
+    /// `clear()` or `stats()` would race its siblings under the parallel
+    /// test runner. Every test that touches the cache holds this lock.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> MutexGuard<'static, ()> {
+        // A failed test poisons the lock; the ones after it still run.
+        SERIAL.lock().unwrap_or_else(|p| p.into_inner())
+    }
 
     const SRC: &str = "module m;\nreg [7:0] a;\ninitial a = 8'hA5;\nendmodule\n";
 
     #[test]
     fn hit_after_miss_shares_bytecode() {
+        let _serial = serial();
         clear();
         let before = stats();
         let d1 = shared_design(SRC, "m").unwrap();
@@ -318,6 +330,7 @@ mod tests {
 
     #[test]
     fn concurrent_threads_share_one_compiled_design() {
+        let _serial = serial();
         clear();
         let src = "module shared_t;\nreg [3:0] r;\ninitial r = 4'd7;\nendmodule\n";
         let designs: Vec<Design> = std::thread::scope(|scope| {
@@ -337,6 +350,7 @@ mod tests {
 
     #[test]
     fn errors_are_memoized_too() {
+        let _serial = serial();
         clear();
         let before = stats();
         let e1 = shared_design("module broken(; endmodule", "broken").unwrap_err();
@@ -352,6 +366,7 @@ mod tests {
 
     #[test]
     fn distinct_tops_do_not_collide() {
+        let _serial = serial();
         clear();
         let two = "module a;\nendmodule\nmodule b;\nreg r;\nendmodule\n";
         let da = shared_design(two, "a").unwrap();
@@ -361,6 +376,7 @@ mod tests {
 
     #[test]
     fn shared_tier_evicts_rather_than_grows() {
+        let _serial = serial();
         clear();
         let before = stats();
         for i in 0..(SHARDS * SHARD_CAP * 2) {
@@ -390,6 +406,7 @@ mod tests {
 
     #[test]
     fn l1_is_bounded_with_eviction() {
+        let _serial = serial();
         clear();
         // Cycle more designs than the L1 holds; the L1 must stay capped
         // while still answering the most recent design without a lock.

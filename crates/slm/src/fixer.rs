@@ -7,9 +7,9 @@
 //! model trained on that data plausibly learns exactly these moves.
 //! Success is budget-bound: bigger/better-trained models search more.
 
-use dda_lint::{DiagKind, Severity};
+use dda_lint::{DiagKind, LintReport};
 use dda_verilog::lexer::lex;
-use dda_verilog::token::{Keyword, TokenKind};
+use dda_verilog::token::{Keyword, Span, TokenKind};
 use std::collections::HashSet;
 
 /// Outcome of a repair attempt.
@@ -33,10 +33,27 @@ pub struct FixOutcome {
 /// Each call counts one `slm.fixer.search` in the `dda-obs` recorder (a
 /// no-op while it is disabled), so tests can pin how often callers search.
 pub fn try_fix(file_name: &str, wrong: &str, budget: usize) -> FixOutcome {
+    try_fix_observed(file_name, wrong, budget, |_, _| {})
+}
+
+/// [`try_fix`], handing each source the search lints to `observe` together
+/// with its report, in the order the checker sees them.
+pub fn try_fix_observed(
+    file_name: &str,
+    wrong: &str,
+    budget: usize,
+    mut observe: impl FnMut(&str, &LintReport),
+) -> FixOutcome {
     dda_obs::count("slm.fixer.search", 1);
+    let mut lint = |src: &str, cost: &mut usize| {
+        *cost += 1;
+        let report = dda_lint::check_source(file_name, src);
+        observe(src, &report);
+        error_state(src, &report)
+    };
     let mut current = wrong.to_owned();
     let mut cost = 0usize;
-    let (mut current_errors, mut current_sig) = error_state(file_name, &current, &mut cost);
+    let (mut current_errors, mut current_sig, mut current_first) = lint(&current, &mut cost);
     if current_errors == 0 {
         return FixOutcome {
             source: current,
@@ -52,20 +69,20 @@ pub fn try_fix(file_name: &str, wrong: &str, budget: usize) -> FixOutcome {
         if cost >= budget || current_errors == 0 {
             break;
         }
-        let mut best: Option<(usize, String)> = None;
-        let mut sideways: Option<(String, ErrSig)> = None;
+        let mut best: Option<(usize, String, ErrSig, FirstError)> = None;
+        let mut sideways: Option<(String, ErrSig, FirstError)> = None;
         let mut sideways_rank: (bool, usize) = (false, usize::MAX);
-        for cand in candidates(file_name, &current) {
+        for cand in candidates(file_name, &current, current_first) {
             if cost >= budget {
                 break;
             }
             if !seen.insert(cand.clone()) {
                 continue;
             }
-            let (e, sig) = error_state(file_name, &cand, &mut cost);
-            if e < current_errors && best.as_ref().map(|(be, _)| e < *be).unwrap_or(true) {
+            let (e, sig, first) = lint(&cand, &mut cost);
+            if e < current_errors && best.as_ref().map(|(be, ..)| e < *be).unwrap_or(true) {
                 let solved = e == 0;
-                best = Some((e, cand));
+                best = Some((e, cand, sig, first));
                 if solved {
                     break;
                 }
@@ -101,21 +118,27 @@ pub fn try_fix(file_name: &str, wrong: &str, budget: usize) -> FixOutcome {
                     };
                     if better {
                         sideways_rank = (semantic, remaining);
-                        sideways = Some((cand, sig));
+                        sideways = Some((cand, sig, first));
                     }
                 }
             }
         }
         match (best, sideways) {
-            (Some((e, src)), _) => {
-                current_sig = error_state(file_name, &src, &mut cost).1;
+            (Some((e, src, sig, first)), _) => {
+                // The candidate loop linted `src` already, but accepting a
+                // candidate is charged one more call: the callers' budgets
+                // are calibrated on that count.
+                cost += 1;
                 current = src;
                 current_errors = e;
+                current_sig = sig;
+                current_first = first;
             }
-            (None, Some((src, sig))) if sideways_left > 0 => {
+            (None, Some((src, sig, first))) if sideways_left > 0 => {
                 sideways_left -= 1;
                 current = src;
                 current_sig = sig;
+                current_first = first;
             }
             _ => break,
         }
@@ -137,15 +160,19 @@ pub fn try_fix(file_name: &str, wrong: &str, budget: usize) -> FixOutcome {
 /// was inserted *before* the error.
 type ErrSig = Option<(DiagKind, u32, u32, usize)>;
 
-fn error_state(file_name: &str, src: &str, cost: &mut usize) -> (usize, ErrSig) {
-    *cost += 1;
-    let report = dda_lint::check_source(file_name, src);
-    let sig = report.first_error().map(|d| {
+/// Kind and span of the first error, where candidate edits focus.
+type FirstError = Option<(DiagKind, Span)>;
+
+/// The search's reading of `src`'s lint report: a score to minimise, the
+/// first error's identity, and the first error itself.
+fn error_state(src: &str, report: &LintReport) -> (usize, ErrSig, FirstError) {
+    let first = report.first_error().map(|d| (d.kind, d.span));
+    let sig = first.map(|(kind, span)| {
         (
-            d.kind,
-            d.span.line,
-            d.span.col,
-            src.len().saturating_sub(d.span.start),
+            kind,
+            span.line,
+            span.col,
+            src.len().saturating_sub(span.start),
         )
     });
     // Parsing stops at the first syntax error, hiding any semantic errors
@@ -156,7 +183,7 @@ fn error_state(file_name: &str, src: &str, cost: &mut usize) -> (usize, ErrSig) 
     } else {
         report.error_count()
     };
-    (score, sig)
+    (score, sig, first)
 }
 
 /// `KEY0` → `KEY[0]` when the name ends in digits (and has a stem).
@@ -168,17 +195,13 @@ fn split_fused_index(name: &str) -> Option<String> {
     Some(format!("{}[{}]", &name[..stem_len], &name[stem_len..]))
 }
 
-/// Candidate edits near the first reported error.
-fn candidates(file_name: &str, src: &str) -> Vec<String> {
-    let report = dda_lint::check_source(file_name, src);
-    let Some(err) = report
-        .diagnostics
-        .iter()
-        .find(|d| d.severity == Severity::Error)
-    else {
+/// Candidate edits near `first`, the first error the checker reported for
+/// `src`.
+fn candidates(file_name: &str, src: &str, first: FirstError) -> Vec<String> {
+    let Some((kind, span)) = first else {
         return Vec::new();
     };
-    let line = err.span.line;
+    let line = span.line;
     let Ok(tokens) = lex(src) else {
         return Vec::new();
     };
@@ -198,7 +221,7 @@ fn candidates(file_name: &str, src: &str) -> Vec<String> {
         s.push_str(&src[end..]);
         s
     };
-    match err.kind {
+    match kind {
         DiagKind::UndeclaredIdentifier | DiagKind::Redeclaration => {
             // Likely an inserted junk word or a renamed signal: delete the
             // offending token, split a fused index (`KEY0` -> `KEY[0]`), or
@@ -243,7 +266,7 @@ fn candidates(file_name: &str, src: &str) -> Vec<String> {
             // at the error position (a wide net explodes the budget).
             let focus = tokens
                 .iter()
-                .position(|t| t.span.start >= err.span.start)
+                .position(|t| t.span.start >= span.start)
                 .unwrap_or(tokens.len().saturating_sub(1));
             let lo = focus.saturating_sub(2);
             let hi = (focus + 1).min(tokens.len().saturating_sub(1));

@@ -4,6 +4,13 @@
 //! and whitespace are skipped; compiler directives (`` `timescale `` etc.)
 //! are kept as single [`TokenKind::Directive`] tokens so the pretty-printer
 //! can round-trip them.
+//!
+//! The cursor reads bytes. Every token of the lexical grammar starts with an
+//! ASCII byte, so the hot loop never decodes UTF-8: non-ASCII input is only
+//! decoded where a `char` decides the outcome — Unicode whitespace, the
+//! payload of escaped identifiers, strings and based literals, and the
+//! offending character of a [`LexError`]. Columns count characters, as
+//! before, so a multi-byte character still advances the column by one.
 
 use crate::token::{Keyword, Span, Token, TokenKind};
 use std::error::Error;
@@ -31,15 +38,71 @@ impl fmt::Display for LexError {
 
 impl Error for LexError {}
 
-/// Multi-character operators, longest first so maximal munch works.
-const OPERATORS: &[&str] = &[
-    "<<<", ">>>", "===", "!==", "**", "<=", ">=", "==", "!=", "&&", "||", "<<", ">>", "+:", "-:",
-    "~&", "~|", "~^", "^~", "=>", "->", "(", ")", "[", "]", "{", "}", ";", ",", ".", ":", "?", "@",
-    "#", "=", "+", "-", "*", "/", "%", "<", ">", "!", "~", "&", "|", "^",
-];
+/// The operator or punctuation starting `rest`, by maximal munch.
+///
+/// Dispatches on the first byte; within an arm the longer spellings come
+/// first, so the first matching pattern is the longest operator.
+fn operator(rest: &[u8]) -> Option<&'static str> {
+    Some(match rest {
+        [b'<', b'<', b'<', ..] => "<<<",
+        [b'<', b'=', ..] => "<=",
+        [b'<', b'<', ..] => "<<",
+        [b'<', ..] => "<",
+        [b'>', b'>', b'>', ..] => ">>>",
+        [b'>', b'=', ..] => ">=",
+        [b'>', b'>', ..] => ">>",
+        [b'>', ..] => ">",
+        [b'=', b'=', b'=', ..] => "===",
+        [b'=', b'=', ..] => "==",
+        [b'=', b'>', ..] => "=>",
+        [b'=', ..] => "=",
+        [b'!', b'=', b'=', ..] => "!==",
+        [b'!', b'=', ..] => "!=",
+        [b'!', ..] => "!",
+        [b'*', b'*', ..] => "**",
+        [b'*', ..] => "*",
+        [b'&', b'&', ..] => "&&",
+        [b'&', ..] => "&",
+        [b'|', b'|', ..] => "||",
+        [b'|', ..] => "|",
+        [b'+', b':', ..] => "+:",
+        [b'+', ..] => "+",
+        [b'-', b':', ..] => "-:",
+        [b'-', b'>', ..] => "->",
+        [b'-', ..] => "-",
+        [b'~', b'&', ..] => "~&",
+        [b'~', b'|', ..] => "~|",
+        [b'~', b'^', ..] => "~^",
+        [b'~', ..] => "~",
+        [b'^', b'~', ..] => "^~",
+        [b'^', ..] => "^",
+        [b'(', ..] => "(",
+        [b')', ..] => ")",
+        [b'[', ..] => "[",
+        [b']', ..] => "]",
+        [b'{', ..] => "{",
+        [b'}', ..] => "}",
+        [b';', ..] => ";",
+        [b',', ..] => ",",
+        [b'.', ..] => ".",
+        [b':', ..] => ":",
+        [b'?', ..] => "?",
+        [b'@', ..] => "@",
+        [b'#', ..] => "#",
+        [b'/', ..] => "/",
+        [b'%', ..] => "%",
+        _ => return None,
+    })
+}
+
+/// Whether `b` starts a UTF-8 character (is not a continuation byte).
+fn starts_char(b: u8) -> bool {
+    b & 0xC0 != 0x80
+}
 
 struct Cursor<'a> {
     src: &'a str,
+    bytes: &'a [u8],
     pos: usize,
     line: u32,
     col: u32,
@@ -49,24 +112,38 @@ impl<'a> Cursor<'a> {
     fn new(src: &'a str) -> Self {
         Cursor {
             src,
+            bytes: src.as_bytes(),
             pos: 0,
             line: 1,
             col: 1,
         }
     }
 
-    fn peek(&self) -> Option<char> {
-        self.src[self.pos..].chars().next()
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
     }
 
-    fn peek2(&self) -> Option<char> {
-        let mut it = self.src[self.pos..].chars();
-        it.next();
-        it.next()
+    fn peek_at(&self, ahead: usize) -> Option<u8> {
+        self.bytes.get(self.pos + ahead).copied()
     }
 
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
+    /// The character at the cursor, decoded only when it is not ASCII.
+    fn peek_char(&self) -> Option<char> {
+        match self.peek()? {
+            b if b.is_ascii() => Some(b as char),
+            _ => self.src[self.pos..].chars().next(),
+        }
+    }
+
+    /// Consumes `n` bytes known to be ASCII and free of newlines.
+    fn advance(&mut self, n: usize) {
+        self.pos += n;
+        self.col += n as u32;
+    }
+
+    /// Consumes one character of any kind.
+    fn bump_char(&mut self) -> Option<char> {
+        let c = self.peek_char()?;
         self.pos += c.len_utf8();
         if c == '\n' {
             self.line += 1;
@@ -77,13 +154,46 @@ impl<'a> Cursor<'a> {
         Some(c)
     }
 
-    fn starts_with(&self, s: &str) -> bool {
-        self.src[self.pos..].starts_with(s)
+    /// Consumes the next `n` bytes, whatever they hold, keeping the line and
+    /// column in step. `pos + n` must fall on a character boundary.
+    fn skip(&mut self, n: usize) {
+        for &b in &self.bytes[self.pos..self.pos + n] {
+            if b == b'\n' {
+                self.line += 1;
+                self.col = 1;
+            } else if starts_char(b) {
+                self.col += 1;
+            }
+        }
+        self.pos += n;
     }
 
-    fn here(&self) -> (usize, u32, u32) {
-        (self.pos, self.line, self.col)
+    /// Consumes up to (not including) the next newline or the end of input.
+    fn skip_line(&mut self) {
+        let rest = &self.bytes[self.pos..];
+        let n = rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
+        self.skip(n);
     }
+
+    /// Consumes ASCII bytes while `pred` holds; `pred` must reject `\n`.
+    fn eat_while(&mut self, pred: impl Fn(u8) -> bool) {
+        let n = self.bytes[self.pos..]
+            .iter()
+            .take_while(|&&b| pred(b))
+            .count();
+        self.advance(n);
+    }
+
+    /// Skips whitespace, Unicode whitespace included.
+    fn skip_whitespace(&mut self) {
+        while self.peek_char().is_some_and(char::is_whitespace) {
+            self.bump_char();
+        }
+    }
+}
+
+fn is_ident_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
 }
 
 /// Lexes `src` into tokens (without a trailing EOF token).
@@ -103,193 +213,126 @@ impl<'a> Cursor<'a> {
 pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
     let mut cur = Cursor::new(src);
     let mut out = Vec::new();
-    'outer: loop {
-        // Skip whitespace.
-        while matches!(cur.peek(), Some(c) if c.is_whitespace()) {
-            cur.bump();
-        }
-        let Some(c) = cur.peek() else { break };
-        // Comments.
-        if c == '/' && cur.peek2() == Some('/') {
-            while let Some(c) = cur.peek() {
-                if c == '\n' {
-                    break;
-                }
-                cur.bump();
-            }
+    loop {
+        cur.skip_whitespace();
+        let Some(b) = cur.peek() else { break };
+        // Comments. An unterminated block comment runs to the end of input.
+        if b == b'/' && cur.peek_at(1) == Some(b'/') {
+            cur.skip_line();
             continue;
         }
-        if c == '/' && cur.peek2() == Some('*') {
-            cur.bump();
-            cur.bump();
-            loop {
-                match cur.peek() {
-                    Some('*') if cur.peek2() == Some('/') => {
-                        cur.bump();
-                        cur.bump();
-                        break;
+        if b == b'/' && cur.peek_at(1) == Some(b'*') {
+            let rest = &cur.bytes[cur.pos + 2..];
+            let body = rest
+                .windows(2)
+                .position(|w| w == b"*/")
+                .map_or(rest.len(), |i| i + 2);
+            cur.skip(2 + body);
+            continue;
+        }
+        let (start, line, col) = (cur.pos, cur.line, cur.col);
+        let kind = match b {
+            // Compiler directive: consume to end of line.
+            b'`' => {
+                cur.skip_line();
+                TokenKind::Directive(src[start..cur.pos].trim_end().to_owned())
+            }
+            b'"' => {
+                cur.advance(1);
+                TokenKind::Str(string_body(&mut cur))
+            }
+            // System identifier.
+            b'$' => {
+                cur.advance(1);
+                cur.eat_while(is_ident_byte);
+                TokenKind::SysIdent(src[start + 1..cur.pos].to_owned())
+            }
+            // Escaped identifier: `\` up to whitespace.
+            b'\\' => {
+                cur.advance(1);
+                while cur.peek_char().is_some_and(|c| !c.is_whitespace()) {
+                    cur.bump_char();
+                }
+                TokenKind::Ident(src[start + 1..cur.pos].to_owned())
+            }
+            // Number: decimal digits, optionally a based literal. A based
+            // literal may also start with `'` directly (width inferred).
+            b'0'..=b'9' | b'\'' if b != b'\'' || is_base_byte(cur.peek_at(1)) => {
+                cur.eat_while(|b| b.is_ascii_digit() || b == b'_');
+                if cur.peek() == Some(b'\'') && is_base_byte(cur.peek_at(1)) {
+                    cur.advance(1);
+                    // Optional signed marker, then the base: whatever
+                    // character follows is taken as the base, even a newline.
+                    if matches!(cur.peek(), Some(b's' | b'S')) {
+                        cur.advance(1);
                     }
-                    Some(_) => {
-                        cur.bump();
-                    }
-                    None => break,
-                }
-            }
-            continue;
-        }
-        let (start, line, col) = cur.here();
-        // Compiler directive: consume to end of line.
-        if c == '`' {
-            while let Some(c) = cur.peek() {
-                if c == '\n' {
-                    break;
-                }
-                cur.bump();
-            }
-            let text = src[start..cur.pos].trim_end().to_owned();
-            out.push(Token::new(
-                TokenKind::Directive(text),
-                Span::new(start, cur.pos, line, col),
-            ));
-            continue;
-        }
-        // String literal.
-        if c == '"' {
-            cur.bump();
-            let mut s = String::new();
-            loop {
-                match cur.bump() {
-                    Some('"') | None => break,
-                    Some('\\') => match cur.bump() {
-                        Some('n') => s.push('\n'),
-                        Some('t') => s.push('\t'),
-                        Some('\\') => s.push('\\'),
-                        Some('"') => s.push('"'),
-                        Some(other) => {
-                            s.push('\\');
-                            s.push(other);
-                        }
-                        None => break,
-                    },
-                    Some(other) => s.push(other),
-                }
-            }
-            out.push(Token::new(
-                TokenKind::Str(s),
-                Span::new(start, cur.pos, line, col),
-            ));
-            continue;
-        }
-        // System identifier.
-        if c == '$' {
-            cur.bump();
-            let mut name = String::new();
-            while matches!(cur.peek(), Some(c) if c.is_ascii_alphanumeric() || c == '_') {
-                name.push(cur.bump().unwrap());
-            }
-            out.push(Token::new(
-                TokenKind::SysIdent(name),
-                Span::new(start, cur.pos, line, col),
-            ));
-            continue;
-        }
-        // Escaped identifier: `\` up to whitespace.
-        if c == '\\' {
-            cur.bump();
-            let mut name = String::new();
-            while matches!(cur.peek(), Some(c) if !c.is_whitespace()) {
-                name.push(cur.bump().unwrap());
-            }
-            out.push(Token::new(
-                TokenKind::Ident(name),
-                Span::new(start, cur.pos, line, col),
-            ));
-            continue;
-        }
-        // Number: decimal digits, optionally a based literal. A based literal
-        // may also start with `'` directly (width inferred).
-        if c.is_ascii_digit() || (c == '\'' && is_base_char(cur.peek2())) {
-            let mut text = String::new();
-            while matches!(cur.peek(), Some(c) if c.is_ascii_digit() || c == '_') {
-                text.push(cur.bump().unwrap());
-            }
-            if cur.peek() == Some('\'') && is_base_char(cur.peek2()) {
-                text.push(cur.bump().unwrap()); // '
-                                                // optional signed marker
-                if matches!(cur.peek(), Some('s') | Some('S')) {
-                    text.push(cur.bump().unwrap());
-                }
-                if let Some(b) = cur.peek() {
-                    text.push(cur.bump().unwrap());
-                    let _ = b;
-                }
-                while matches!(cur.peek(), Some(c) if c.is_ascii_alphanumeric() || c == '_' || c == '?')
+                    cur.bump_char();
+                    cur.eat_while(|b| is_ident_byte(b) || b == b'?');
+                } else if cur.peek() == Some(b'.')
+                    && cur.peek_at(1).is_some_and(|d| d.is_ascii_digit())
                 {
-                    text.push(cur.bump().unwrap());
+                    // Real literal.
+                    cur.advance(1);
+                    cur.eat_while(|b| b.is_ascii_digit() || b == b'_');
                 }
-            } else if cur.peek() == Some('.')
-                && matches!(cur.peek2(), Some(d) if d.is_ascii_digit())
-            {
-                // Real literal.
-                text.push(cur.bump().unwrap());
-                while matches!(cur.peek(), Some(c) if c.is_ascii_digit() || c == '_') {
-                    text.push(cur.bump().unwrap());
+                TokenKind::Number(src[start..cur.pos].to_owned())
+            }
+            // Identifier / keyword.
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                cur.eat_while(|b| is_ident_byte(b) || b == b'$');
+                let name = &src[start..cur.pos];
+                match Keyword::from_str(name) {
+                    Some(kw) => TokenKind::Keyword(kw),
+                    None => TokenKind::Ident(name.to_owned()),
                 }
             }
-            out.push(Token::new(
-                TokenKind::Number(text),
-                Span::new(start, cur.pos, line, col),
-            ));
-            continue;
-        }
-        // Identifier / keyword.
-        if c.is_ascii_alphabetic() || c == '_' {
-            let mut name = String::new();
-            while matches!(cur.peek(), Some(c) if c.is_ascii_alphanumeric() || c == '_' || c == '$')
-            {
-                name.push(cur.bump().unwrap());
-            }
-            let kind = match Keyword::from_str(&name) {
-                Some(kw) => TokenKind::Keyword(kw),
-                None => TokenKind::Ident(name),
-            };
-            out.push(Token::new(kind, Span::new(start, cur.pos, line, col)));
-            continue;
-        }
-        // Operators, longest match first.
-        for op in OPERATORS {
-            if cur.starts_with(op) {
-                for _ in 0..op.len() {
-                    cur.bump();
+            _ => match operator(&cur.bytes[start..]) {
+                Some(op) => {
+                    cur.advance(op.len());
+                    TokenKind::Op(op)
                 }
-                out.push(Token::new(
-                    TokenKind::Op(op),
-                    Span::new(start, cur.pos, line, col),
-                ));
-                continue 'outer;
-            }
-        }
-        return Err(LexError {
-            ch: c,
-            span: Span::new(start, start + c.len_utf8(), line, col),
-        });
+                None => {
+                    let ch = cur.peek_char().expect("a byte is left");
+                    return Err(LexError {
+                        ch,
+                        span: Span::new(start, start + ch.len_utf8(), line, col),
+                    });
+                }
+            },
+        };
+        out.push(Token::new(kind, Span::new(start, cur.pos, line, col)));
     }
     Ok(out)
 }
 
-fn is_base_char(c: Option<char>) -> bool {
+/// Consumes a string literal after its opening quote, through the closing
+/// quote or the end of input, and returns its unescaped contents.
+fn string_body(cur: &mut Cursor<'_>) -> String {
+    let mut s = String::new();
+    loop {
+        match cur.bump_char() {
+            Some('"') | None => break,
+            Some('\\') => match cur.bump_char() {
+                Some('n') => s.push('\n'),
+                Some('t') => s.push('\t'),
+                Some('\\') => s.push('\\'),
+                Some('"') => s.push('"'),
+                Some(other) => {
+                    s.push('\\');
+                    s.push(other);
+                }
+                None => break,
+            },
+            Some(other) => s.push(other),
+        }
+    }
+    s
+}
+
+fn is_base_byte(b: Option<u8>) -> bool {
     matches!(
-        c,
-        Some('b')
-            | Some('B')
-            | Some('o')
-            | Some('O')
-            | Some('d')
-            | Some('D')
-            | Some('h')
-            | Some('H')
-            | Some('s')
-            | Some('S')
+        b,
+        Some(b'b' | b'B' | b'o' | b'O' | b'd' | b'D' | b'h' | b'H' | b's' | b'S')
     )
 }
 
