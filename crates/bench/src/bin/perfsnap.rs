@@ -282,7 +282,7 @@ fn obs_section(smoke: bool) -> String {
             if enabled {
                 dda_obs::enable();
             }
-            let (h, q_ms) = time_ms(&query_workload);
+            let (h, q_ms) = time_ms(query_workload);
             let (_, s_ms) = time_ms(|| run_mode(&sim_sf, EvalMode::Bytecode));
             if enabled {
                 dda_obs::disable();

@@ -11,6 +11,7 @@ use dda_core::Dataset;
 use dda_slm::{pretraining_dataset, Slm, SlmProfile, TrainOptions, PROGRESSIVE_ORDER};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 use std::fmt;
 
 /// The compared systems, in the paper's column order.
@@ -120,30 +121,39 @@ impl ModelZoo {
             },
             &mut rng_gen,
         );
-        let ours13 = SlmProfile {
-            name: "Llama 2-FT (Ours) 13B".into(),
-            ..SlmProfile::llama2(13.0)
+        let topts = TrainOptions {
+            workers: opts.train_workers.max(1),
         };
-        let ours7 = SlmProfile {
-            name: "Llama 2-FT (Ours) 7B".into(),
-            ..SlmProfile::llama2(7.0)
+        // `pretraining_dataset` depends only on `pretrain_modules`: build
+        // each distinct set once (Ours-7B, Llama2-PT and General-Aug all
+        // read the 96-module one).
+        let mut pretraining: HashMap<usize, Dataset> = HashMap::new();
+        let mut build = |profile: SlmProfile, finetune: &Dataset| -> Slm {
+            let pre = pretraining
+                .entry(profile.pretrain_modules)
+                .or_insert_with(|| pretraining_dataset(&profile));
+            Slm::finetune_with_options(profile, pre, finetune, &PROGRESSIVE_ORDER, &topts)
         };
+        let empty = Dataset::new();
         let general13 = SlmProfile {
             name: "Llama 2-FT (General Aug) 13B".into(),
             ..SlmProfile::llama2(13.0)
         };
-        let topts = TrainOptions {
-            workers: opts.train_workers.max(1),
-        };
-        let build = |profile: SlmProfile, finetune: &Dataset| -> Slm {
-            let pre = pretraining_dataset(&profile);
-            Slm::finetune_with_options(profile, &pre, finetune, &PROGRESSIVE_ORDER, &topts)
-        };
-        let empty = Dataset::new();
+        let gpt35 = build(SlmProfile::gpt35(), &empty);
+        let ours7 = build(
+            SlmProfile {
+                name: "Llama 2-FT (Ours) 7B".into(),
+                ..SlmProfile::llama2(7.0)
+            },
+            &full,
+        );
+        // Ours-13B differs from Ours-7B only in capacity: same data, same
+        // floors, same pretraining, so it shares the trained index.
+        let ours13 = ours7.with_capacity("Llama 2-FT (Ours) 13B", 13.0);
         let models = vec![
-            (ModelId::Gpt35, build(SlmProfile::gpt35(), &empty)),
-            (ModelId::Ours7B, build(ours7, &full)),
-            (ModelId::Ours13B, build(ours13, &full)),
+            (ModelId::Gpt35, gpt35),
+            (ModelId::Ours7B, ours7),
+            (ModelId::Ours13B, ours13),
             (ModelId::Thakur, build(SlmProfile::codegen16b(), &general)),
             (ModelId::Llama2Pt, build(SlmProfile::llama2(13.0), &empty)),
             (ModelId::GeneralAug, build(general13, &general)),

@@ -19,7 +19,7 @@ fn sock() -> PathBuf {
 
 fn mixed_request(client: u64, i: u64) -> Request {
     let id = client * 1_000 + i;
-    let priority = if (client + i) % 3 == 0 {
+    let priority = if (client + i).is_multiple_of(3) {
         Priority::High
     } else {
         Priority::Normal

@@ -67,7 +67,7 @@ proptest! {
         let keep = (declared_us * keep_frac / 100).min(declared_us - 1);
         let mut buf = Vec::new();
         buf.extend_from_slice(&declared.to_be_bytes());
-        buf.extend(std::iter::repeat(b'x').take(keep));
+        buf.extend(std::iter::repeat_n(b'x', keep));
         let mut r = Cursor::new(buf);
         match read_frame(&mut r, MAX_FRAME) {
             Err(WireError::Truncated { expected, got }) => {

@@ -267,6 +267,9 @@ fn lane_patterns() -> LanePatterns {
     LanePatterns
 }
 
+/// A scalar two-operand kernel the batch ops are checked against.
+type BinaryKernel = fn(&PackedVec, &PackedVec) -> PackedVec;
+
 /// Batch + the per-lane scalar reference vectors it was built from.
 fn batch_of(lanes: &[Vec<u8>]) -> (PackedBatch, Vec<PackedVec>) {
     let scalars: Vec<PackedVec> = lanes.iter().map(|l| pv(l)).collect();
@@ -315,7 +318,7 @@ proptest! {
         let (ba, sa) = batch_of(&a);
         let rev: Vec<Vec<u8>> = a.iter().rev().cloned().collect();
         let (bb, sb) = batch_of(&rev);
-        let cases: [(&str, PackedBatch, fn(&PackedVec, &PackedVec) -> PackedVec); 4] = [
+        let cases: [(&str, PackedBatch, BinaryKernel); 4] = [
             ("and", ba.bit_and(&bb), PackedVec::bit_and),
             ("or", ba.bit_or(&bb), PackedVec::bit_or),
             ("xor", ba.bit_xor(&bb), PackedVec::bit_xor),
@@ -331,8 +334,8 @@ proptest! {
             prop_assert_eq!(mapped.lane(l), sa[l].add(&sb[l]), "map2 add lane {}", l);
         }
         let negged = ba.map1(|x| x.neg());
-        for l in 0..sa.len() {
-            prop_assert_eq!(negged.lane(l), sa[l].neg(), "map1 neg lane {}", l);
+        for (l, s) in sa.iter().enumerate() {
+            prop_assert_eq!(negged.lane(l), s.neg(), "map1 neg lane {}", l);
         }
     }
 

@@ -36,7 +36,7 @@ use dda_core::{DataEntry, Dataset, TaskKind};
 use dda_runtime::{run_supervised, RunOptions, UnitOutcome};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A model personality: capacity plus pretrained skill floors.
 #[derive(Debug, Clone, PartialEq)]
@@ -158,13 +158,19 @@ impl Default for TrainOptions {
     }
 }
 
+/// What finetuning builds from the data: read-only once built, so models
+/// trained on the same data share one copy.
+struct Trained {
+    docs: Vec<TrainDoc>,
+    index: TfIdfIndex,
+    ngram: NgramModel,
+}
+
 /// A finetuned simulatable LM.
 pub struct Slm {
     profile: SlmProfile,
     skills: Skills,
-    docs: Vec<TrainDoc>,
-    index: TfIdfIndex,
-    ngram: NgramModel,
+    trained: Arc<Trained>,
     /// Route retrieval through the linear-scan reference instead of the
     /// postings list (equivalence testing only).
     reference_retrieval: bool,
@@ -175,7 +181,7 @@ impl std::fmt::Debug for Slm {
         f.debug_struct("Slm")
             .field("profile", &self.profile.name)
             .field("skills", &self.skills)
-            .field("docs", &self.docs.len())
+            .field("docs", &self.trained.docs.len())
             .finish()
     }
 }
@@ -309,10 +315,26 @@ impl Slm {
         Slm {
             profile,
             skills,
-            docs,
-            index,
-            ngram,
+            trained: Arc::new(Trained { docs, index, ngram }),
             reference_retrieval: false,
+        }
+    }
+
+    /// The same model at another size: shares this model's index,
+    /// training examples and n-gram model (no copy, no retraining) and
+    /// keeps its skills. Only the profile's `name` and `capacity_b`
+    /// change — exactly what separates two sizes of one model family
+    /// finetuned on the same data (Ours-7B and Ours-13B).
+    pub fn with_capacity(&self, name: impl Into<String>, capacity_b: f64) -> Slm {
+        Slm {
+            profile: SlmProfile {
+                name: name.into(),
+                capacity_b,
+                ..self.profile.clone()
+            },
+            skills: self.skills,
+            trained: Arc::clone(&self.trained),
+            reference_retrieval: self.reference_retrieval,
         }
     }
 
@@ -343,12 +365,19 @@ impl Slm {
 
     /// Number of indexed training examples.
     pub fn training_size(&self) -> usize {
-        self.docs.len()
+        self.trained.docs.len()
+    }
+
+    /// The retrieval index generation queries (equivalence testing only:
+    /// the layout suites compare it with its linear-scan reference).
+    #[doc(hidden)]
+    pub fn index(&self) -> &TfIdfIndex {
+        &self.trained.index
     }
 
     /// Held-out cross-entropy of the internal n-gram LM (Fig. 3 metric).
     pub fn loss(&self, held_out: &[&str]) -> f64 {
-        self.ngram.loss(held_out)
+        self.trained.ngram.loss(held_out)
     }
 
     fn cap_mult(&self) -> f64 {
@@ -623,7 +652,7 @@ impl Prompt<'_> {
         };
         let r = self.retrieval();
         let hits = &r.hits;
-        let n = model.docs.len().max(1) as f64;
+        let n = model.trained.docs.len().max(1) as f64;
         let jitter = (1.0 - task_skill) * 0.35 * model.cap_mult().max(0.6);
         let chosen = hits
             .iter()
@@ -635,7 +664,7 @@ impl Prompt<'_> {
                 // of the requested task outrank lexically-similar examples
                 // of another task (raw completion prefixes share many port
                 // tokens with any interface block).
-                let task_bonus = if model.docs[h.doc].instruct == instruct {
+                let task_bonus = if model.trained.docs[h.doc].instruct == instruct {
                     0.2 * task_skill
                 } else {
                     0.0
@@ -668,7 +697,10 @@ impl Prompt<'_> {
                     let floor = hits[c].score - 0.08;
                     let fit = |i: usize| {
                         *r.fits[i].get_or_init(|| {
-                            crate::adapt::interface_fit(&model.docs[hits[i].doc].output, spec)
+                            crate::adapt::interface_fit(
+                                &model.trained.docs[hits[i].doc].output,
+                                spec,
+                            )
                         })
                     };
                     (0..hits.len())
@@ -686,7 +718,7 @@ impl Prompt<'_> {
             (None, _) => return self.hallucinate(rng),
         };
         let hit = &hits[hit];
-        let doc = &model.docs[hit.doc];
+        let doc = &model.trained.docs[hit.doc];
         let mut output = doc.output.clone();
         let sim = hit.score;
         let instruct_match = doc.instruct == instruct;
@@ -746,13 +778,16 @@ impl Prompt<'_> {
             // regression test in `tests/hot_path_obs.rs` pins this: counter
             // `slm.query.linear` stays 0 across a normal sweep).
             let mut hits = if model.reference_retrieval {
-                model.index.try_query_linear(&query, 32)
+                model.trained.index.try_query_linear(&query, 32)
             } else {
-                model.index.try_query(&query, 32)
+                model.trained.index.try_query(&query, 32)
             }
             .expect("finetune() finished the index");
-            if hits.iter().any(|h| model.docs[h.doc].instruct == instruct) {
-                hits.retain(|h| model.docs[h.doc].instruct == instruct);
+            if hits
+                .iter()
+                .any(|h| model.trained.docs[h.doc].instruct == instruct)
+            {
+                hits.retain(|h| model.trained.docs[h.doc].instruct == instruct);
             }
             hits.truncate(8);
             // The hash keys on the prompt alone: prompt difficulty is

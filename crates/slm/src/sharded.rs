@@ -21,9 +21,8 @@
 //!   merge per-shard top-k heaps into an **exact** global top-k: a
 //!   document in the global top-k is necessarily in its own shard's
 //!   top-k, so the merged union provably contains every global winner.
-//!   With a single shard the scoring pass is the dense accumulator +
-//!   touched list + `select_nth_unstable` of `TfIdfIndex::try_query` —
-//!   the exact allocation pattern of today's monolithic query. With
+//!   With a single shard the scoring pass is a dense accumulator +
+//!   touched list + `select_nth_unstable` over the shard's postings. With
 //!   multiple shards each shard prunes: query terms are visited in
 //!   descending upper-bound order (per-shard max document weight × idf ×
 //!   query weight), and once the remaining terms' summed bound — divided
@@ -704,8 +703,7 @@ impl ShardedTfIdf {
     }
 
     /// Scores `query` against one shard: dense accumulator over slots,
-    /// touched list, per-shard top-k via `select_nth_unstable` — the
-    /// allocation pattern of `TfIdfIndex::try_query`, per shard.
+    /// touched list, per-shard top-k via `select_nth_unstable`.
     fn shard_topk(
         &self,
         shard: &Shard,
@@ -1054,8 +1052,7 @@ impl ShardedTfIdf {
     /// `top` hits. Sequential over shards; results are identical to
     /// [`query_parallel`](Self::query_parallel) for any worker count.
     ///
-    /// Single-shard indexes take the dense scoring pass (the exact
-    /// allocation pattern of `TfIdfIndex::try_query`); multi-shard
+    /// Single-shard indexes take the dense scoring pass; multi-shard
     /// indexes take the pruned path (`pruned_topk`) with one top-k
     /// heap threaded through the shards, so each shard prunes against
     /// the best documents found so far anywhere. Both paths are

@@ -1,4 +1,4 @@
-//! Sparse TF-IDF retrieval index over an inverted postings list.
+//! TF-IDF retrieval index with a dense-column query layout.
 //!
 //! The simulatable LM's "attention": finetuning builds an index over
 //! (instruct, input) pairs, and generation retrieves the best-matching
@@ -6,20 +6,34 @@
 //! token vectors.
 //!
 //! Tokens are interned [`Sym`]s (see `dda_core::intern`); documents are
-//! sparse `(term, weight)` vectors sorted by term id, and [`finish`]
-//! inverts them into a postings list (term → `(doc, weight)` in doc
-//! order). [`try_query`] walks only the postings of the query's terms,
-//! accumulating scores into a dense per-doc array and selecting the top-k
-//! hits without sorting the full candidate set. The pre-postings linear
-//! scan is retained as [`try_query_linear`] — the reference the
-//! equivalence suites and the `perfsnap` guard compare against. Querying
-//! before `finish` is a typed [`IndexError::NotFinished`]; the old
-//! panicking `query`/`query_linear` entry points survive as
-//! `#[deprecated]` shims.
+//! sparse `(term, tf)` vectors sorted by term id. [`finish`] freezes them
+//! into the query layout. A term's weight `(1 + ln tf) · ln((n+1)/df)`
+//! depends only on its tf, its df and the document count `n`, so the
+//! layout stores raw term frequencies and the query recomputes each
+//! weight with the same expression:
+//!
+//! - a term in at least a quarter of the documents whose tf never exceeds
+//!   255 is a *dense* column, one `u8` tf per document (0 = absent);
+//! - every other term with tf ≤ 255 is a *sparse* posting list in CSR
+//!   form: parallel `u32` doc and `u8` tf arrays in ascending doc order;
+//! - a term with a wider tf is a *wide* posting list with `u32` tfs, so
+//!   no tf is ever clamped.
+//!
+//! [`try_query`] accumulates into a reused thread-local score buffer, term
+//! by term in ascending term id. Runs of consecutive dense terms are fused
+//! into one branch-free pass over the documents; an absent document adds
+//! `+0.0`, which leaves every sum's bits unchanged. One ascending pass
+//! over the buffer then keeps the top-k in a bounded heap under the total
+//! hit order. The per-document weighted vectors are kept for the
+//! linear-scan reference [`try_query_linear`], which the equivalence
+//! suites and the `perfsnap` guard compare against. Querying before
+//! `finish` is a typed [`IndexError::NotFinished`]; the old panicking
+//! `query`/`query_linear` entry points survive as `#[deprecated]` shims.
 //!
 //! Determinism: all dot products accumulate term-by-term in ascending
-//! term-id order (both paths), so scores are bit-identical between the
-//! two implementations and across runs.
+//! term-id order (both paths) from bit-identical products, so scores are
+//! bit-identical between the two implementations and across runs
+//! (DESIGN.md §5n).
 //!
 //! [`finish`]: TfIdfIndex::finish
 //! [`try_query`]: TfIdfIndex::try_query
@@ -27,8 +41,9 @@
 
 use dda_core::intern::Sym;
 use dda_core::tokenize::tokenize_syms;
+use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 
 /// Typed errors from the retrieval indexes.
@@ -69,9 +84,148 @@ pub struct Hit {
 }
 
 /// Best-score-first, ties broken by insertion order — the ordering both
-/// query paths sort hits by.
+/// query paths rank hits by. A total order: doc ids are unique.
 fn hit_order(a: &Hit, b: &Hit) -> Ordering {
     b.score.total_cmp(&a.score).then(a.doc.cmp(&b.doc))
+}
+
+/// A [`Hit`] ordered by [`hit_order`], so a max-heap keeps the worst of
+/// the running top-k on top.
+struct Ranked(Hit);
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        hit_order(&self.0, &other.0)
+    }
+}
+
+/// A term is stored as a dense column when it is in at least
+/// `1 / DENSE_DF_DIVISOR` of the documents (and its tf fits a `u8`).
+const DENSE_DF_DIVISOR: usize = 4;
+
+/// Consecutive dense query terms are applied in one pass over the
+/// documents, at most this many at a time.
+const DENSE_FUSE: usize = 4;
+
+/// Entries of a per-query product table: `prod[tf] = qw · weight(tf)` for
+/// every tf a `u8` holds, so a `u8` index never leaves it.
+type ProdTable = [f64; 256];
+
+/// Inverse document frequency, `ln((n + 1) / df)`.
+fn idf(n: f64, df: u32) -> f64 {
+    ((n + 1.0) / df.max(1) as f64).ln()
+}
+
+/// A term's TF-IDF weight. The one expression every weight comes from:
+/// document vectors at `finish`, query vectors, and the products the
+/// query recomputes from stored tfs.
+fn weight(tf: f64, idf: f64) -> f64 {
+    (1.0 + tf.ln()) * idf
+}
+
+/// Where `finish` put a term's postings; the payload indexes the dense
+/// columns or the term's list in the sparse or wide store.
+#[derive(Debug, Clone, Copy)]
+enum Layout {
+    Dense(u32),
+    Sparse(u32),
+    Wide(u32),
+}
+
+/// How `finish` stored one term.
+#[derive(Debug, Clone, Copy)]
+struct TermLayout {
+    /// The term's largest tf in any document (sizes its product table).
+    max_tf: u32,
+    at: Layout,
+}
+
+/// Posting lists in CSR form: list `i` is `doc[off[i]..off[i + 1]]`
+/// (ascending) with the matching term frequencies in `tf`.
+#[derive(Debug, Clone)]
+struct Csr<T> {
+    off: Vec<usize>,
+    doc: Vec<u32>,
+    tf: Vec<T>,
+}
+
+impl<T: Copy + Default> Csr<T> {
+    /// Reserves the next list, `len` postings long; returns its index.
+    fn reserve(&mut self, len: usize) -> u32 {
+        self.off.push(self.off[self.off.len() - 1] + len);
+        (self.off.len() - 2) as u32
+    }
+
+    /// Allocates the postings of every reserved list; returns each list's
+    /// start, the cursor [`Csr::put`] fills it from.
+    fn allocate(&mut self) -> Vec<usize> {
+        let total = self.off[self.off.len() - 1];
+        self.doc = vec![0; total];
+        self.tf = vec![T::default(); total];
+        self.off[..self.off.len() - 1].to_vec()
+    }
+
+    /// Writes the next posting of a list whose cursor is `at`.
+    fn put(&mut self, at: &mut usize, doc: usize, tf: T) {
+        self.doc[*at] = doc as u32;
+        self.tf[*at] = tf;
+        *at += 1;
+    }
+
+    fn list(&self, i: u32) -> (&[u32], &[T]) {
+        let range = self.off[i as usize]..self.off[i as usize + 1];
+        (&self.doc[range.clone()], &self.tf[range])
+    }
+}
+
+impl<T> Default for Csr<T> {
+    fn default() -> Self {
+        Csr {
+            off: vec![0],
+            doc: Vec::new(),
+            tf: Vec::new(),
+        }
+    }
+}
+
+/// Adds `W` consecutive dense terms to every document in one pass:
+/// `scores[d] += prods[j][cols[j][d]]` for `j` in ascending order, the
+/// same additions in the same order as `W` separate passes.
+fn fused<const W: usize>(
+    scores: &mut [f64],
+    cols: &[&[u8]; DENSE_FUSE],
+    prods: &[ProdTable; DENSE_FUSE],
+) {
+    let len = scores.len();
+    let cols: [&[u8]; W] = std::array::from_fn(|j| &cols[j][..len]);
+    for (d, score) in scores.iter_mut().enumerate() {
+        let mut s = *score;
+        for j in 0..W {
+            s += prods[j][cols[j][d] as usize];
+        }
+        *score = s;
+    }
+}
+
+thread_local! {
+    /// Per-thread score accumulator, at least as long as the largest
+    /// index queried on the thread. All zeros between queries: the top-k
+    /// pass takes every value it reads.
+    static SCORES: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// TF-IDF index over text documents.
@@ -87,9 +241,17 @@ pub struct TfIdfIndex {
     vocab: HashMap<Sym, u32>,
     /// Document frequency per term id.
     df: Vec<u32>,
-    /// Inverted index: term id → `(doc, weight)` in ascending doc order.
-    /// Built by `finish`.
-    postings: Vec<Vec<(u32, f64)>>,
+    /// Per term id: how its postings are stored. Built by `finish`.
+    layout: Vec<TermLayout>,
+    /// Dense columns, `len()` bytes each, back to back: the tf of column
+    /// `c` in doc `d` is `dense[c * len() + d]`, 0 when absent.
+    dense: Vec<u8>,
+    /// Posting lists of the other terms whose tf fits a `u8`.
+    sparse: Csr<u8>,
+    /// Posting lists of terms with a tf above 255. A tf counts tokens of
+    /// one document, so it fits a `u32` (a longer document's token slice
+    /// alone would take 16 GiB).
+    wide: Csr<u32>,
     finished: bool,
 }
 
@@ -145,18 +307,56 @@ impl TfIdfIndex {
         self.docs.len() - 1
     }
 
-    /// Freezes the index: applies IDF weighting, precomputes norms, and
-    /// builds the inverted postings list.
+    /// Freezes the index: lays the postings out from the raw tfs, then
+    /// applies IDF weighting to the document vectors and precomputes norms.
     pub fn finish(&mut self) {
         if self.finished {
             return;
         }
         self.finished = true;
-        let n = self.docs.len().max(1) as f64;
+        let len = self.docs.len();
+        let mut max_tf = vec![0u32; self.df.len()];
+        for doc in &self.docs {
+            for &(id, tf) in doc {
+                let m = &mut max_tf[id as usize];
+                *m = (*m).max(tf as u32);
+            }
+        }
+        let (mut sparse, mut wide, mut n_dense) = (Csr::default(), Csr::default(), 0);
+        self.layout = max_tf
+            .into_iter()
+            .zip(&self.df)
+            .map(|(max_tf, &df)| {
+                let at = if max_tf > u8::MAX as u32 {
+                    Layout::Wide(wide.reserve(df as usize))
+                } else if df as usize * DENSE_DF_DIVISOR >= len {
+                    n_dense += 1;
+                    Layout::Dense(n_dense - 1)
+                } else {
+                    Layout::Sparse(sparse.reserve(df as usize))
+                };
+                TermLayout { max_tf, at }
+            })
+            .collect();
+        self.dense = vec![0; n_dense as usize * len];
+        let mut sparse_at = sparse.allocate();
+        let mut wide_at = wide.allocate();
+        // Docs are visited in ascending id order, so every list comes out
+        // doc-sorted.
+        for (d, doc) in self.docs.iter().enumerate() {
+            for &(id, tf) in doc {
+                match self.layout[id as usize].at {
+                    Layout::Dense(c) => self.dense[c as usize * len + d] = tf as u8,
+                    Layout::Sparse(i) => sparse.put(&mut sparse_at[i as usize], d, tf as u8),
+                    Layout::Wide(i) => wide.put(&mut wide_at[i as usize], d, tf as u32),
+                }
+            }
+        }
+        (self.sparse, self.wide) = (sparse, wide);
+        let n = len.max(1) as f64;
         for doc in &mut self.docs {
             for (id, w) in doc.iter_mut() {
-                let df = self.df[*id as usize].max(1) as f64;
-                *w = (1.0 + w.ln()) * ((n + 1.0) / df).ln();
+                *w = weight(*w, idf(n, self.df[*id as usize]));
             }
         }
         self.norms = self
@@ -164,14 +364,6 @@ impl TfIdfIndex {
             .iter()
             .map(|d| d.iter().map(|(_, w)| w * w).sum::<f64>().sqrt())
             .collect();
-        // Invert: docs are visited in ascending id order, so each posting
-        // list comes out doc-sorted with no extra sort.
-        self.postings = vec![Vec::new(); self.df.len()];
-        for (i, doc) in self.docs.iter().enumerate() {
-            for (id, w) in doc {
-                self.postings[*id as usize].push((i as u32, *w));
-            }
-        }
     }
 
     /// TF-IDF weights of the query's known terms, sorted by term id, plus
@@ -188,17 +380,15 @@ impl TfIdfIndex {
         let mut terms: Vec<(u32, f64)> = qtf.into_iter().collect();
         terms.sort_unstable_by_key(|(id, _)| *id);
         for (id, w) in terms.iter_mut() {
-            let df = self.df[*id as usize].max(1) as f64;
-            *w = (1.0 + w.ln()) * ((n + 1.0) / df).ln();
+            *w = weight(*w, idf(n, self.df[*id as usize]));
         }
         let qnorm = terms.iter().map(|(_, w)| w * w).sum::<f64>().sqrt();
         (terms, qnorm)
     }
 
-    /// Scores `query` against the corpus through the postings list, best
-    /// first. Only documents sharing at least one term with the query are
-    /// touched. Output is identical to [`TfIdfIndex::try_query_linear`] —
-    /// same docs, bit-identical scores, same tie order.
+    /// Scores `query` against the corpus, best first. Output is identical
+    /// to [`TfIdfIndex::try_query_linear`] — same docs, bit-identical
+    /// scores, same tie order.
     ///
     /// # Errors
     ///
@@ -210,47 +400,117 @@ impl TfIdfIndex {
         }
         dda_obs::count("slm.query.postings", 1);
         let (terms, qnorm) = self.query_weights(query);
-        if qnorm == 0.0 {
+        if qnorm == 0.0 || top == 0 {
             return Ok(Vec::new());
         }
-        // Dense accumulator + touched list: O(candidates), not O(corpus).
-        let mut acc = vec![0.0f64; self.docs.len()];
-        let mut touched: Vec<u32> = Vec::new();
-        for (id, qw) in &terms {
-            for (doc, dw) in &self.postings[*id as usize] {
-                let slot = &mut acc[*doc as usize];
-                if *slot == 0.0 {
-                    touched.push(*doc);
+        Ok(SCORES.with(|scores| {
+            let mut scores = scores.borrow_mut();
+            let len = self.docs.len();
+            if scores.len() < len {
+                scores.resize(len, 0.0);
+            }
+            let scores = &mut scores[..len];
+            self.accumulate(&terms, scores);
+            self.top_k(scores, qnorm, top)
+        }))
+    }
+
+    /// Adds every query term's products into `scores`, term by term in
+    /// ascending term id, so each document's sum runs in the order the
+    /// linear scan adds it.
+    fn accumulate(&self, terms: &[(u32, f64)], scores: &mut [f64]) {
+        let (n, len) = (self.docs.len().max(1) as f64, scores.len());
+        // `prod[tf] = qw · weight(tf)` for every tf up to the term's largest
+        // (and 255); `prod[0]` stays `+0.0`, what an absent doc adds.
+        let products = |id: u32, qw: f64| -> ProdTable {
+            let idf = idf(n, self.df[id as usize]);
+            let max_tf = self.layout[id as usize].max_tf.min(u8::MAX as u32) as usize;
+            let mut prod = [0.0; 256];
+            for (tf, p) in prod.iter_mut().enumerate().take(max_tf + 1).skip(1) {
+                *p = qw * weight(tf as f64, idf);
+            }
+            prod
+        };
+        let dense_column = |id: u32| match self.layout[id as usize].at {
+            Layout::Dense(c) => Some(&self.dense[c as usize * len..][..len]),
+            _ => None,
+        };
+        let mut rest = terms;
+        while let Some(&(id, qw)) = rest.first() {
+            let step = match self.layout[id as usize].at {
+                Layout::Dense(_) => {
+                    // The run of consecutive dense terms starting here; a
+                    // sparse or wide term ends it.
+                    let mut cols: [&[u8]; DENSE_FUSE] = [&[]; DENSE_FUSE];
+                    let mut prods = [[0.0; 256]; DENSE_FUSE];
+                    let mut run = 0;
+                    for &(id, qw) in rest.iter().take(DENSE_FUSE) {
+                        let Some(col) = dense_column(id) else { break };
+                        (cols[run], prods[run]) = (col, products(id, qw));
+                        run += 1;
+                    }
+                    match run {
+                        1 => fused::<1>(scores, &cols, &prods),
+                        2 => fused::<2>(scores, &cols, &prods),
+                        3 => fused::<3>(scores, &cols, &prods),
+                        _ => fused::<4>(scores, &cols, &prods),
+                    }
+                    run
                 }
-                *slot += qw * dw;
+                Layout::Sparse(i) => {
+                    let prod = products(id, qw);
+                    let (docs, tfs) = self.sparse.list(i);
+                    for (&d, &tf) in docs.iter().zip(tfs) {
+                        scores[d as usize] += prod[tf as usize];
+                    }
+                    1
+                }
+                Layout::Wide(i) => {
+                    let prod = products(id, qw);
+                    let idf = idf(n, self.df[id as usize]);
+                    let (docs, tfs) = self.wide.list(i);
+                    for (&d, &tf) in docs.iter().zip(tfs) {
+                        scores[d as usize] += match prod.get(tf as usize) {
+                            Some(p) => *p,
+                            None => qw * weight(tf as f64, idf),
+                        };
+                    }
+                    1
+                }
+            };
+            rest = &rest[step..];
+        }
+    }
+
+    /// Takes every score out of `scores` (leaving it zeroed) and keeps the
+    /// best `top` hits in a bounded heap, returned best first.
+    fn top_k(&self, scores: &mut [f64], qnorm: f64, top: usize) -> Vec<Hit> {
+        let mut heap = BinaryHeap::with_capacity(top.min(scores.len()));
+        // Once the heap is full, the score of its worst hit. Documents
+        // arrive in ascending id, so a later one ties the worst only by
+        // losing to it, and must score strictly above it to enter.
+        let mut floor = 0.0;
+        for (doc, (slot, &norm)) in scores.iter_mut().zip(&self.norms).enumerate() {
+            let dot = std::mem::take(slot);
+            if dot == 0.0 || norm == 0.0 {
+                continue;
+            }
+            let score = dot / (qnorm * norm);
+            let hit = Ranked(Hit { doc, score });
+            if heap.len() < top {
+                heap.push(hit);
+            } else if score > floor {
+                if let Some(mut worst) = heap.peek_mut() {
+                    *worst = hit;
+                }
+            } else {
+                continue;
+            }
+            if heap.len() == top {
+                floor = heap.peek().map_or(0.0, |worst| worst.0.score);
             }
         }
-        // Candidates accumulated in first-touch order; sort by doc id so
-        // assembly order matches the linear scan before ranking.
-        touched.sort_unstable();
-        let mut hits: Vec<Hit> = touched
-            .into_iter()
-            .filter_map(|doc| {
-                let dot = acc[doc as usize];
-                let norm = self.norms[doc as usize];
-                if dot == 0.0 || norm == 0.0 {
-                    return None;
-                }
-                Some(Hit {
-                    doc: doc as usize,
-                    score: dot / (qnorm * norm),
-                })
-            })
-            .collect();
-        // Top-k selection: partition the best `top` forward, then order
-        // just those — O(c + k log k) instead of O(c log c).
-        if hits.len() > top && top > 0 {
-            hits.select_nth_unstable_by(top - 1, hit_order);
-            hits.truncate(top);
-        }
-        hits.sort_unstable_by(hit_order);
-        hits.truncate(top);
-        Ok(hits)
+        heap.into_sorted_vec().into_iter().map(|r| r.0).collect()
     }
 
     /// The pre-postings reference: scores `query` by linearly scanning
