@@ -4,15 +4,13 @@
 //!
 //! Usage: `cargo run --release -p dda-bench --bin table3
 //! [--quick] [--workers N] [--resume PATH]
-//! [--eval-mode ast|bytecode|batch] [--runs-per-batch R] [--rag-k K]`
+//! [--eval-mode ast|bytecode] [--rag-k K]`
 //!
 //! `--workers`/`--resume` run each per-model sweep on the supervised
 //! runtime engine (parallel workers plus a per-sweep write-ahead
 //! journal); supervised rows are identical to the sequential ones.
-//! `--eval-mode` picks the simulator engine for testbench scoring, and
-//! `--runs-per-batch R` lockstep-scores R copies of each repair per
-//! simulation on the batch engine; all engines produce identical verdicts
-//! (only wall-clock differs).
+//! `--eval-mode` picks the simulator engine for testbench scoring; both
+//! engines produce identical verdicts (only wall-clock differs).
 //!
 //! `--rag-k K` appends a RAG-vs-no-RAG ablation: each model is re-run
 //! with the K nearest corpus modules (sharded retrieval over a generated
@@ -50,7 +48,6 @@ fn main() {
     let zoo = zoo_from_args();
     let protocol = RepairProtocol {
         eval_mode: flags.eval_mode,
-        runs_per_batch: flags.runs_per_batch,
         ..RepairProtocol::default()
     };
     let suite = rtllm_suite();

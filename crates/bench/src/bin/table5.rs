@@ -4,15 +4,13 @@
 //!
 //! Usage: `cargo run --release -p dda-bench --bin table5
 //! [--quick] [--workers N] [--resume PATH]
-//! [--eval-mode ast|bytecode|batch] [--runs-per-batch R]`
+//! [--eval-mode ast|bytecode]`
 //!
 //! `--workers`/`--resume` run each (model, suite) sweep on the supervised
 //! runtime engine (parallel workers plus a per-sweep write-ahead
 //! journal); supervised rows are identical to the sequential ones.
-//! `--eval-mode` picks the simulator engine for testbench scoring, and
-//! `--runs-per-batch R` lockstep-scores R copies of each candidate per
-//! simulation on the batch engine; all engines produce identical verdicts
-//! (only wall-clock differs).
+//! `--eval-mode` picks the simulator engine for testbench scoring; both
+//! engines produce identical verdicts (only wall-clock differs).
 
 use dda_bench::{log_summary, zoo_from_args, RunFlags};
 use dda_benchmarks::{rtllm_table5_subset, thakur_suite};
@@ -25,7 +23,6 @@ fn main() {
     let zoo = zoo_from_args();
     let protocol = GenProtocol {
         eval_mode: flags.eval_mode,
-        runs_per_batch: flags.runs_per_batch,
         ..GenProtocol::default()
     };
     let thakur = thakur_suite();

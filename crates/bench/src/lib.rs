@@ -72,12 +72,11 @@ pub fn zoo_from_args() -> ModelZoo {
 /// run. Without both flags the binaries keep their original sequential
 /// code paths, so default output stays byte-identical release to release.
 ///
-/// `--eval-mode ast|bytecode|batch` selects the simulator engine used for
+/// `--eval-mode ast|bytecode` selects the simulator engine used for
 /// testbench scoring (bytecode by default; `ast` reproduces the reference
-/// interpreter for differential runs; `batch` lane-vectorizes repeat
-/// scoring — pair it with `--runs-per-batch R` to lockstep R copies of a
-/// candidate through one simulation). Verdicts and scores are identical
-/// across engines — only wall-clock differs.
+/// interpreter for differential runs). Verdicts and scores are identical
+/// across engines — only wall-clock differs. Any other engine name, and
+/// the retired `--runs-per-batch`, is a usage error.
 ///
 /// `--trace-out PATH` and `--metrics` turn the `dda-obs` recorder on:
 /// the first streams structured JSONL events (plus end-of-run counter
@@ -90,13 +89,8 @@ pub struct RunFlags {
     pub workers: usize,
     /// Journal path stem (`--resume PATH`); one journal per sweep label.
     pub resume: Option<PathBuf>,
-    /// Simulator engine (`--eval-mode ast|bytecode|batch`; default
-    /// bytecode).
+    /// Simulator engine (`--eval-mode ast|bytecode`; default bytecode).
     pub eval_mode: EvalMode,
-    /// Lanes per batched testbench run (`--runs-per-batch R`; default 1 =
-    /// sequential scoring). Clamped to [`dda_sim::MAX_BATCH_LANES`] by the
-    /// sweeps.
-    pub runs_per_batch: usize,
     /// JSONL trace destination (`--trace-out PATH`); enables the recorder.
     pub trace_out: Option<PathBuf>,
     /// Print an end-of-run metrics summary (`--metrics`); enables the
@@ -105,29 +99,52 @@ pub struct RunFlags {
 }
 
 impl RunFlags {
-    /// Parses the flags from the process arguments.
+    /// Parses the flags from the process arguments; a usage error is
+    /// printed to stderr and exits with status 2.
     pub fn from_args() -> RunFlags {
-        let args: Vec<String> = std::env::args().collect();
-        let after = |flag: &str| {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
-        };
-        RunFlags {
-            workers: after("--workers").and_then(|v| v.parse().ok()).unwrap_or(1),
-            resume: after("--resume").map(PathBuf::from),
-            eval_mode: match after("--eval-mode").map(String::as_str) {
-                Some("ast") => EvalMode::Ast,
-                Some("batch") => EvalMode::Batch,
-                _ => EvalMode::Bytecode,
-            },
-            runs_per_batch: after("--runs-per-batch")
-                .and_then(|v| v.parse().ok())
-                .filter(|&r: &usize| r >= 1)
-                .unwrap_or(1),
-            trace_out: after("--trace-out").map(PathBuf::from),
-            metrics: args.iter().any(|a| a == "--metrics"),
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        RunFlags::parse(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses the flags from `args` (the arguments after the program
+    /// name). Flags this type does not own are skipped, so each binary
+    /// can read its own from the same list.
+    ///
+    /// # Errors
+    ///
+    /// A usage message when `--eval-mode` is missing its value or names
+    /// an unknown engine, or when the retired `--runs-per-batch` is given.
+    pub fn parse(args: &[String]) -> Result<RunFlags, String> {
+        if args.iter().any(|a| a == "--runs-per-batch") {
+            return Err("--runs-per-batch was removed: each distinct candidate is \
+                        simulated once, so repeat lanes add nothing"
+                .to_string());
         }
+        let after = |flag: &str| args.iter().position(|a| a == flag).map(|i| args.get(i + 1));
+        let eval_mode = match after("--eval-mode") {
+            None => EvalMode::default(),
+            Some(Some(v)) if v == "ast" => EvalMode::Ast,
+            Some(Some(v)) if v == "bytecode" => EvalMode::Bytecode,
+            Some(v) => {
+                return Err(format!(
+                    "--eval-mode got {}; accepted values: ast, bytecode",
+                    v.map_or("no value".to_string(), |v| format!("`{v}`"))
+                ))
+            }
+        };
+        Ok(RunFlags {
+            workers: after("--workers")
+                .flatten()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(1),
+            resume: after("--resume").flatten().map(PathBuf::from),
+            eval_mode,
+            trace_out: after("--trace-out").flatten().map(PathBuf::from),
+            metrics: args.iter().any(|a| a == "--metrics"),
+        })
     }
 
     /// Enables the global `dda-obs` recorder when `--trace-out` or
@@ -247,4 +264,41 @@ pub fn log_summary(label: &str, s: &EngineSummary) {
         "[{label}] engine: {} ok, {} quarantined, {} resumed, {} retries",
         s.ok, s.quarantined, s.resumed, s.retries
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<RunFlags, String> {
+        RunFlags::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn engine_flags_parse() {
+        assert_eq!(parse(&[]).unwrap().eval_mode, EvalMode::Bytecode);
+        assert_eq!(parse(&["--quick"]).unwrap().eval_mode, EvalMode::Bytecode);
+        let f = parse(&["--eval-mode", "ast", "--workers", "3", "--metrics"]).unwrap();
+        assert_eq!(f.eval_mode, EvalMode::Ast);
+        assert_eq!(f.workers, 3);
+        assert!(f.metrics);
+        let f = parse(&["--quick", "--eval-mode", "bytecode"]).unwrap();
+        assert_eq!(f.eval_mode, EvalMode::Bytecode);
+    }
+
+    #[test]
+    fn unknown_engines_are_usage_errors() {
+        for bad in ["batch", "AST", "bytecod", ""] {
+            let err = parse(&["--eval-mode", bad]).unwrap_err();
+            assert!(err.contains("ast, bytecode"), "{bad}: {err}");
+        }
+        let err = parse(&["--quick", "--eval-mode"]).unwrap_err();
+        assert!(err.contains("no value"), "{err}");
+    }
+
+    #[test]
+    fn retired_runs_per_batch_is_a_usage_error() {
+        let err = parse(&["--runs-per-batch", "4"]).unwrap_err();
+        assert!(err.contains("--runs-per-batch"), "{err}");
+    }
 }

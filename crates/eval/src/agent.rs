@@ -28,6 +28,12 @@
 //! wall-clock and speculative work are not. DESIGN.md §5k spells out the
 //! argument; `tests/agent_parallel.rs` pins it with proptest.
 //!
+//! The chains of one batch share one score memo: each distinct candidate
+//! source is linted once and simulated once per batch, whichever chain
+//! meets it first (DESIGN.md §5o). Lint and simulation are deterministic,
+//! so the memo changes no outcome; a verdict computed under a tripped
+//! [`CancelToken`] came from the clock and is never stored.
+//!
 //! [`AgentProtocol::tool_wait`] makes the external-call stalls of the
 //! deployed setting (EDA-tool subprocess spawns, LLM API round-trips)
 //! explicit in the in-process simulation: chains sleep through each
@@ -35,19 +41,20 @@
 //! speedup the same way it would in production — by overlapping waits.
 
 use crate::generation::{
-    run_testbench, run_testbench_verdict_with, run_testbench_verdicts_batched,
-    testbench_sim_options,
+    run_testbench, run_testbench_verdict_with, testbench_sim_options, TestbenchVerdict,
 };
 use dda_benchmarks::VerilogProblem;
 use dda_core::align::ALIGN_INSTRUCT;
 use dda_core::repair::REPAIR_INSTRUCT;
+use dda_lint::LintReport;
 use dda_runtime::{run_supervised, CancelToken, RetryPolicy, RunOptions, UnitOutcome};
-use dda_sim::{EvalMode, SimOptions, MAX_BATCH_LANES};
+use dda_sim::{EvalMode, SimOptions};
 use dda_slm::{GenOptions, Prompt, Slm};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// Functional pass threshold shared by every agent scorer.
@@ -239,11 +246,6 @@ pub struct AgentBatchOptions {
     /// Retry budget for chains (chains are deterministic, so this only
     /// matters under injected faults).
     pub retry: RetryPolicy,
-    /// Lockstep lanes per candidate scoring: `R > 1` scores R identical
-    /// copies of each lint-clean candidate through the batch simulation
-    /// engine. Verdicts are bit-identical to the scalar path; this is the
-    /// stress knob, not a semantic one.
-    pub runs_per_batch: usize,
     /// Simulator engine for testbench scoring.
     pub eval_mode: EvalMode,
 }
@@ -257,7 +259,6 @@ impl Default for AgentBatchOptions {
             early_exit: false,
             chain_deadline: None,
             retry: RetryPolicy::none(),
-            runs_per_batch: 1,
             eval_mode: EvalMode::default(),
         }
     }
@@ -341,23 +342,63 @@ fn chain_seed(
         ^ (chain as u64).wrapping_mul(0x9e3779b97f4a7c15)
 }
 
-/// Scores one lint-clean candidate, on the scalar engine or — when the
-/// batch asks for lockstep lanes — through the batched simulator.
-/// Verdicts are engine-invariant, so this cannot change an outcome.
-fn score_candidate(
-    problem: &VerilogProblem,
-    candidate: &str,
-    opts: &AgentBatchOptions,
-    sim: &SimOptions,
-) -> f64 {
-    if opts.runs_per_batch <= 1 {
-        return run_testbench_verdict_with(problem, candidate, sim).pass_rate();
+/// Lint reports and testbench verdicts of one agent batch, keyed by the
+/// exact candidate source and shared by every chain of the batch. Within a
+/// batch the file name, testbench and simulator budgets are fixed, so a
+/// source determines its report and, unless the clock cut its run, its
+/// verdict. Every update is one insert or one store, so a lock poisoned
+/// by a panicking chain still guards valid data and is recovered.
+#[derive(Default)]
+struct ScoreMemo {
+    entries: Mutex<HashMap<String, Arc<MemoEntry>>>,
+}
+
+/// One candidate's memo entry. The verdict lock is held while the verdict
+/// is computed, so a chain scoring a source a sibling is still simulating
+/// waits for that run instead of starting a second one.
+#[derive(Default)]
+struct MemoEntry {
+    lint: OnceLock<LintReport>,
+    verdict: Mutex<Option<TestbenchVerdict>>,
+}
+
+impl ScoreMemo {
+    fn entry(&self, source: &str) -> Arc<MemoEntry> {
+        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(e) = entries.get(source) {
+            return Arc::clone(e);
+        }
+        let e = Arc::<MemoEntry>::default();
+        entries.insert(source.to_string(), Arc::clone(&e));
+        e
     }
-    let runs = opts.runs_per_batch.min(MAX_BATCH_LANES);
-    run_testbench_verdicts_batched(problem, candidate, runs, sim)
-        .first()
-        .map(|v| v.pass_rate())
-        .unwrap_or(0.0)
+}
+
+impl MemoEntry {
+    fn lint(&self, file: &str, source: &str) -> &LintReport {
+        self.lint
+            .get_or_init(|| dda_lint::check_source(file, source))
+    }
+
+    /// The source's testbench verdict. One computed while `sim.cancel` is
+    /// tripped (chain deadline, early-exit cancel, request deadline) came
+    /// from the clock, not the source, so it is returned but not stored.
+    fn verdict(
+        &self,
+        problem: &VerilogProblem,
+        source: &str,
+        sim: &SimOptions,
+    ) -> TestbenchVerdict {
+        let mut slot = self.verdict.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(v) = slot.as_ref() {
+            return v.clone();
+        }
+        let v = run_testbench_verdict_with(problem, source, sim);
+        if !sim.cancel.is_cancelled() {
+            *slot = Some(v.clone());
+        }
+        v
+    }
 }
 
 /// Sleeps for the protocol's modeled external-call stall, clipped to the
@@ -378,7 +419,8 @@ fn tool_stall(protocol: &AgentProtocol, cancel: &CancelToken) {
 /// `protocol.max_feedback_iters` rounds of lint → simulate → feed the
 /// transcript back through the repair pathway. Every round emits an
 /// `agent.round` span/counter/trace-event; the chain emits `agent.chain`.
-/// `draft` is the batch's shared plan for the problem prompt.
+/// `draft` is the batch's shared plan for the problem prompt and `memo`
+/// its shared lint and verdict memo.
 #[allow(clippy::too_many_arguments)]
 fn run_chain(
     model: &Slm,
@@ -386,6 +428,7 @@ fn run_chain(
     level: usize,
     chain: usize,
     draft: &Prompt<'_>,
+    memo: &ScoreMemo,
     context: &[String],
     opts: &AgentBatchOptions,
     cancel: &CancelToken,
@@ -415,23 +458,24 @@ fn run_chain(
         let round_span = dda_obs::span("agent.round");
         dda_obs::count("agent.round", 1);
         tool_stall(&opts.protocol, cancel);
-        let report = dda_lint::check_source(&file, &candidate);
+        let scored = memo.entry(&candidate);
+        let report = scored.lint(&file, &candidate);
         lint_clean = report.is_clean();
-        function = if lint_clean {
-            score_candidate(problem, &candidate, opts, &sim)
-        } else {
-            0.0
-        };
+        let verdict = lint_clean.then(|| scored.verdict(problem, &candidate, &sim));
+        function = verdict.as_ref().map_or(0.0, TestbenchVerdict::pass_rate);
         if dda_obs::enabled() {
-            dda_obs::emit(
-                dda_obs::Event::new("agent.round")
-                    .str("problem", problem.id)
-                    .u64("level", level as u64)
-                    .u64("chain", chain as u64)
-                    .u64("round", rounds as u64)
-                    .bool("lint", lint_clean)
-                    .f64("function", function),
-            );
+            let mut ev = dda_obs::Event::new("agent.round")
+                .str("problem", problem.id)
+                .u64("level", level as u64)
+                .u64("chain", chain as u64)
+                .u64("round", rounds as u64)
+                .str("candidate", format!("{:016x}", fnv(&candidate)))
+                .bool("lint", lint_clean)
+                .f64("function", function);
+            if let Some(v) = &verdict {
+                ev = ev.str("verdict", v.kind());
+            }
+            dda_obs::emit(ev);
         }
         drop(round_span);
         if (lint_clean && function >= PASS_THRESHOLD) || rounds > opts.protocol.max_feedback_iters {
@@ -448,7 +492,7 @@ fn run_chain(
         let input = format!("{diagnostic}, {candidate}");
         let fixed = model.generate_with_context(REPAIR_INSTRUCT, &input, context, &gen, &mut rng);
         tool_stall(&opts.protocol, cancel);
-        if dda_lint::check_source(&file, &fixed).is_clean() {
+        if memo.entry(&fixed).lint(&file, &fixed).is_clean() {
             candidate = fixed;
             repaired_by_loop = true;
         } else {
@@ -556,6 +600,7 @@ pub fn agent_batch_sequential(
     let _span = dda_obs::span("agent.batch");
     let never = CancelToken::new();
     let draft = model.prompt(ALIGN_INSTRUCT, &problem.prompts[level], &[]);
+    let memo = ScoreMemo::default();
     let mut chains = Vec::with_capacity(opts.k);
     for chain in 0..opts.k {
         if opts.early_exit && chains.iter().any(ChainOutcome::passed) {
@@ -563,7 +608,7 @@ pub fn agent_batch_sequential(
             continue;
         }
         chains.push(run_chain(
-            model, problem, level, chain, &draft, context, opts, &never,
+            model, problem, level, chain, &draft, &memo, context, opts, &never,
         ));
     }
     let out = assemble(chains, opts.early_exit);
@@ -618,8 +663,10 @@ pub fn agent_batch(
             quarantined: 0,
         };
     }
-    // One draft plan for the batch, shared read-only by every worker.
+    // One draft plan and one score memo for the batch, shared by every
+    // worker.
     let draft = model.prompt(ALIGN_INSTRUCT, &problem.prompts[level], &[]);
+    let memo = ScoreMemo::default();
     // Lowest-indexed passing chain so far: the early-exit floor.
     let best = AtomicUsize::new(usize::MAX);
     // Cancellation handles for in-flight chains, indexed by chain.
@@ -642,7 +689,9 @@ pub fn agent_batch(
         // one chain without touching its siblings.
         let sib = token.child();
         *inflight[chain].lock().unwrap() = Some(sib.clone());
-        let out = run_chain(model, problem, level, chain, &draft, context, opts, &sib);
+        let out = run_chain(
+            model, problem, level, chain, &draft, &memo, context, opts, &sib,
+        );
         *inflight[chain].lock().unwrap() = None;
         if opts.early_exit && out.passed() {
             let mut cur = best.load(Ordering::Acquire);
@@ -771,5 +820,27 @@ mod tests {
             );
             assert_eq!(a, c, "{}: parallel outcome drifted under tool_wait", p.id);
         }
+    }
+
+    #[test]
+    fn clock_cut_verdicts_are_not_stored() {
+        let dead = CancelToken::new();
+        dead.cancel();
+        let cut = testbench_sim_options(&dead);
+        let live = testbench_sim_options(&CancelToken::new());
+        let suite = thakur_suite();
+        let p = suite
+            .iter()
+            .find(|p| run_testbench_verdict_with(p, p.reference, &cut).is_timeout())
+            .expect("a reference runs past the first wall-clock poll");
+        let memo = ScoreMemo::default();
+        let first = memo.entry(p.reference).verdict(p, p.reference, &cut);
+        assert!(first.is_timeout(), "{first:?}");
+        // A later chain with a live token scores the source itself.
+        let later = memo.entry(p.reference).verdict(p, p.reference, &live);
+        assert_eq!(later, TestbenchVerdict::Scored(1.0));
+        // That verdict came from the source, so it is stored and reused.
+        let reused = memo.entry(p.reference).verdict(p, p.reference, &cut);
+        assert_eq!(reused, TestbenchVerdict::Scored(1.0));
     }
 }

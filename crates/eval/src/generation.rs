@@ -6,15 +6,22 @@
 //! the number of syntax-failing samples and the best functional pass rate;
 //! a problem is *successful* when any level's best sample passes 100% of
 //! its testbench checks.
+//!
+//! At temperature 0.1 the `k` samples of a cell often repeat. Linting and
+//! simulation are deterministic, so a cell lints each distinct sample once
+//! and runs the testbench once per distinct clean sample; the best rate
+//! over distinct sources equals the best rate over all copies (DESIGN.md
+//! §5o).
 
 use dda_benchmarks::{parse_result, VerilogProblem};
 use dda_core::align::ALIGN_INSTRUCT;
 use dda_runtime::CancelToken;
 use dda_sim::cache::{shared_design, FrontendError};
-use dda_sim::{run_batch, EvalMode, SimOptions, Simulator, MAX_BATCH_LANES};
+use dda_sim::{EvalMode, SimOptions, Simulator};
 use dda_slm::{GenOptions, Slm};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::collections::{HashMap, HashSet};
 
 /// One (problem, level) cell of Table 5.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,12 +67,6 @@ pub struct GenProtocol {
     /// Simulator execution engine (bytecode by default; `Ast` reproduces
     /// the reference interpreter for differential runs).
     pub eval_mode: EvalMode,
-    /// Simulation lanes per batched testbench run (`--runs-per-batch R`).
-    /// At 1 (the default) every sample scores through the sequential
-    /// scalar path. Above 1, identical candidate sources are scored `R`
-    /// at a time through [`dda_sim::run_batch`]; lane results are
-    /// bit-identical to the sequential path, so cells never change.
-    pub runs_per_batch: usize,
 }
 
 impl Default for GenProtocol {
@@ -75,7 +76,6 @@ impl Default for GenProtocol {
             temperature: 0.1,
             seed: 99,
             eval_mode: EvalMode::default(),
-            runs_per_batch: 1,
         }
     }
 }
@@ -118,6 +118,18 @@ impl TestbenchVerdict {
     /// Whether this run crashed the simulator (caught panic).
     pub fn is_crash(&self) -> bool {
         matches!(self, TestbenchVerdict::Crash(_))
+    }
+
+    /// The verdict's wire and trace label: `scored`, `parse_error`,
+    /// `elab_error`, `timeout` or `crash`.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            TestbenchVerdict::Scored(_) => "scored",
+            TestbenchVerdict::ParseError(_) => "parse_error",
+            TestbenchVerdict::ElabError(_) => "elab_error",
+            TestbenchVerdict::Timeout(_) => "timeout",
+            TestbenchVerdict::Crash(_) => "crash",
+        }
     }
 }
 
@@ -180,98 +192,43 @@ pub fn run_testbench_verdict_with(
     }
 }
 
-/// Scores `runs` copies of the same `generated` candidate against the
-/// problem's testbench in one batched simulation ([`run_batch`] lanes),
-/// returning one verdict per lane.
-///
-/// Lanes are unseeded, so each shares the scalar engine's default
-/// `$random` stream and the verdicts are bit-identical to `runs`
-/// sequential [`run_testbench_verdict_with`] calls. Identical lanes stay
-/// on the batch engine's uniform fast path, which is where the pass@k
-/// sweep's ~R× throughput gain comes from. Frontend failures and caught
-/// panics replicate across all lanes (one bad candidate fails the same
-/// way however many times it is scored).
-pub fn run_testbench_verdicts_batched(
-    problem: &VerilogProblem,
-    generated: &str,
-    runs: usize,
-    opts: &SimOptions,
-) -> Vec<TestbenchVerdict> {
-    let src = format!("{generated}\n{}", problem.testbench);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-        || -> Result<Vec<TestbenchVerdict>, TestbenchVerdict> {
-            let design = shared_design(&src, "tb").map_err(|e| match e {
-                FrontendError::Parse(m) => TestbenchVerdict::ParseError(m),
-                FrontendError::Elab(e) => TestbenchVerdict::ElabError(e.message),
-            })?;
-            let seeds = vec![None; runs];
-            Ok(run_batch(&design, &seeds, opts)
-                .into_iter()
-                .map(|lane| match lane {
-                    Ok(result) => match parse_result(&result.output) {
-                        Some((pass, total)) if total > 0 => {
-                            TestbenchVerdict::Scored(pass as f64 / total as f64)
-                        }
-                        _ => TestbenchVerdict::Scored(0.0),
-                    },
-                    Err(e) => TestbenchVerdict::Timeout(e.to_string()),
-                })
-                .collect())
-        },
-    ));
-    match outcome {
-        Ok(Ok(v)) => v,
-        Ok(Err(v)) => vec![v; runs],
-        Err(payload) => vec![TestbenchVerdict::Crash(panic_message(&payload)); runs],
-    }
+/// Best pass rate over `candidates`, running the testbench once per
+/// distinct source. Within one call the testbench and `opts` are fixed and
+/// the simulator is deterministic, so a repeated source would get its
+/// first copy's verdict; skipping it cannot change the maximum.
+pub fn best_rate(problem: &VerilogProblem, candidates: &[&str], opts: &SimOptions) -> f64 {
+    let mut seen = HashSet::new();
+    candidates
+        .iter()
+        .filter(|c| seen.insert(**c))
+        .map(|c| run_testbench_verdict_with(problem, c, opts).pass_rate())
+        .fold(0.0, f64::max)
 }
 
-/// Best pass rate over a set of lint-clean candidates, scored `R` lanes
-/// at a time when the protocol asks for batching. Shared by the
-/// generation and repair sweeps; the `runs_per_batch == 1` path is the
-/// original sequential loop, untouched.
-pub(crate) fn best_rate_batched(
+/// Scores the `k` samples of one cell: lints each distinct sample once as
+/// `file`, then takes [`best_rate`] over the clean ones. Returns
+/// `(syntax_errors, best_function)`, with syntax errors counted per
+/// sample, repeats included.
+pub(crate) fn score_samples(
     problem: &VerilogProblem,
-    clean: &[String],
-    runs_per_batch: usize,
+    samples: &[String],
+    file: &str,
     opts: &SimOptions,
-) -> f64 {
-    let mut best: f64 = 0.0;
-    if runs_per_batch <= 1 {
-        for out in clean {
-            let rate = run_testbench_verdict_with(problem, out, opts).pass_rate();
-            if rate > best {
-                best = rate;
-            }
-        }
-        return best;
-    }
-    // Group identical candidates (pass@k at low temperature repeats
-    // sources often) and score each group's copies R lanes per batch.
-    // The simulator is deterministic, so copy-counts cannot change the
-    // max — but every copy still runs, keeping verdict totals and obs
-    // counters faithful to the sequential protocol.
-    let r = runs_per_batch.min(MAX_BATCH_LANES);
-    let mut groups: Vec<(&str, usize)> = Vec::new();
-    for out in clean {
-        match groups.iter_mut().find(|(src, _)| *src == out.as_str()) {
-            Some((_, n)) => *n += 1,
-            None => groups.push((out.as_str(), 1)),
+) -> (usize, f64) {
+    let mut lint_clean: HashMap<&str, bool> = HashMap::new();
+    let mut clean: Vec<&str> = Vec::new();
+    let mut syntax_errors = 0;
+    for sample in samples {
+        if *lint_clean
+            .entry(sample)
+            .or_insert_with(|| dda_lint::check_source(file, sample).is_clean())
+        {
+            clean.push(sample);
+        } else {
+            syntax_errors += 1;
         }
     }
-    for (src, mut remaining) in groups {
-        while remaining > 0 {
-            let lanes = remaining.min(r);
-            for v in run_testbench_verdicts_batched(problem, src, lanes, opts) {
-                let rate = v.pass_rate();
-                if rate > best {
-                    best = rate;
-                }
-            }
-            remaining -= lanes;
-        }
-    }
-    best
+    (syntax_errors, best_rate(problem, &clean, opts))
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -310,39 +267,43 @@ pub fn eval_cell_with(
     protocol: &GenProtocol,
     cancel: &CancelToken,
 ) -> GenCell {
-    let prompt = &problem.prompts[level];
-    let opts = GenOptions {
-        temperature: protocol.temperature,
-    };
-    // One plan for the k samples: retrieval and interface fits run once.
-    let plan = model.prompt(ALIGN_INSTRUCT, prompt, &[]);
-    let mut syntax_errors = 0;
-    let mut clean: Vec<String> = Vec::new();
-    for i in 0..protocol.k {
-        let mut rng = SmallRng::seed_from_u64(
-            protocol
-                .seed
-                .wrapping_mul(1_000_003)
-                .wrapping_add((level as u64) << 32)
-                .wrapping_add(hash_id(problem.id))
-                .wrapping_add(hash_id(&model.profile().name))
-                .wrapping_add(i as u64),
-        );
-        let out = plan.generate(&opts, &mut rng);
-        let report = dda_lint::check_source("gen.v", &out);
-        if !report.is_clean() {
-            syntax_errors += 1;
-            continue;
-        }
-        clean.push(out);
-    }
+    let samples = cell_samples(model, problem, level, protocol);
     let mut sim_opts = testbench_sim_options(cancel);
     sim_opts.eval_mode = protocol.eval_mode;
-    let best_function = best_rate_batched(problem, &clean, protocol.runs_per_batch, &sim_opts);
+    let (syntax_errors, best_function) = score_samples(problem, &samples, "gen.v", &sim_opts);
     GenCell {
         syntax_errors,
         best_function,
     }
+}
+
+/// The `k` raw samples of one (problem, level) cell in sample order: the
+/// generations [`eval_cell`] lints and scores.
+pub fn cell_samples(
+    model: &Slm,
+    problem: &VerilogProblem,
+    level: usize,
+    protocol: &GenProtocol,
+) -> Vec<String> {
+    let opts = GenOptions {
+        temperature: protocol.temperature,
+    };
+    // One plan for the k samples: retrieval and interface fits run once.
+    let plan = model.prompt(ALIGN_INSTRUCT, &problem.prompts[level], &[]);
+    (0..protocol.k)
+        .map(|i| {
+            let mut rng = SmallRng::seed_from_u64(
+                protocol
+                    .seed
+                    .wrapping_mul(1_000_003)
+                    .wrapping_add((level as u64) << 32)
+                    .wrapping_add(hash_id(problem.id))
+                    .wrapping_add(hash_id(&model.profile().name))
+                    .wrapping_add(i as u64),
+            );
+            plan.generate(&opts, &mut rng)
+        })
+        .collect()
 }
 
 fn hash_id(id: &str) -> u64 {
@@ -432,45 +393,14 @@ mod tests {
     }
 
     #[test]
-    fn batched_scoring_matches_sequential() {
+    fn best_rate_scores_each_distinct_source_once() {
         let p = &thakur_suite()[0];
         let constant = "module simple_wire(input in, output out);\nassign out = 1'b0;\nendmodule\n";
         let opts = testbench_sim_options(&CancelToken::new());
-        // Verdict level: every lane equals the sequential verdict.
-        for candidate in [p.reference, constant] {
-            let seq = run_testbench_verdict_with(p, candidate, &opts);
-            let lanes = run_testbench_verdicts_batched(p, candidate, 4, &opts);
-            assert_eq!(lanes.len(), 4);
-            for v in lanes {
-                assert_eq!(v, seq);
-            }
-        }
-        // Frontend failures replicate across all lanes.
-        let bad = run_testbench_verdicts_batched(p, "module garbage(; endmodule", 3, &opts);
-        assert_eq!(bad.len(), 3);
-        assert!(bad
-            .iter()
-            .all(|v| matches!(v, TestbenchVerdict::ParseError(_))));
-        // Cell level: duplicated candidates group and chunk into R-lane
-        // batches without changing the best rate.
-        let clean: Vec<String> = [
-            constant,
-            p.reference,
-            constant,
-            constant,
-            p.reference,
-            constant,
-            constant,
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let seq = best_rate_batched(p, &clean, 1, &opts);
-        assert!((seq - 1.0).abs() < 1e-9);
-        for r in [2, 4, 64, MAX_BATCH_LANES + 9] {
-            assert_eq!(best_rate_batched(p, &clean, r, &opts), seq);
-        }
-        assert_eq!(best_rate_batched(p, &[], 4, &opts), 0.0);
+        let clean = [constant, p.reference, constant, constant, p.reference];
+        assert!((best_rate(p, &clean, &opts) - 1.0).abs() < 1e-9);
+        assert!((best_rate(p, &[constant, constant], &opts) - 0.5).abs() < 1e-9);
+        assert_eq!(best_rate(p, &[], &opts), 0.0);
     }
 
     #[test]

@@ -53,14 +53,14 @@ pub use agent::{
 };
 pub use dda_sim::EvalMode;
 pub use generation::{
-    eval_cell, eval_suite, run_testbench, run_testbench_verdict, run_testbench_verdict_with,
-    run_testbench_verdicts_batched, success_rate, GenCell, GenProtocol, GenRow, TestbenchVerdict,
+    best_rate, cell_samples, eval_cell, eval_suite, run_testbench, run_testbench_verdict,
+    run_testbench_verdict_with, success_rate, GenCell, GenProtocol, GenRow, TestbenchVerdict,
 };
 pub use models::{ModelId, ModelZoo, ZooOptions};
 pub use rag::{RagIndex, RAG_SHARDS};
 pub use repair_eval::{
-    eval_repair, eval_repair_rag, eval_repair_suite, eval_repair_suite_rag, RepairCell,
-    RepairProtocol,
+    eval_repair, eval_repair_rag, eval_repair_suite, eval_repair_suite_rag, repair_samples,
+    RepairCell, RepairProtocol,
 };
 pub use report::TextTable;
 pub use script_eval::{eval_script, eval_script_suite, ScriptCell, ScriptProtocol};

@@ -5,9 +5,10 @@
 //! injection rules, the checker's diagnostics are prepended (Fig. 6
 //! layout), and the model is asked to repair under pass@5. A repaired file
 //! is syntax-scored with the checker and function-scored with the
-//! problem's testbench.
+//! problem's testbench. As in Table 5, each distinct repair is linted and
+//! simulated once per cell (DESIGN.md §5o).
 
-use crate::generation::{best_rate_batched, testbench_sim_options};
+use crate::generation::{score_samples, testbench_sim_options};
 use dda_benchmarks::VerilogProblem;
 use dda_core::repair::{break_verilog, RepairOptions, REPAIR_INSTRUCT};
 use dda_runtime::CancelToken;
@@ -44,9 +45,6 @@ pub struct RepairProtocol {
     pub max_mutations: usize,
     /// Simulator execution engine for the function-scoring runs.
     pub eval_mode: dda_sim::EvalMode,
-    /// Simulation lanes per batched function-scoring run (see
-    /// [`crate::GenProtocol::runs_per_batch`]); 1 scores sequentially.
-    pub runs_per_batch: usize,
 }
 
 impl Default for RepairProtocol {
@@ -57,7 +55,6 @@ impl Default for RepairProtocol {
             seed: 424,
             max_mutations: 3,
             eval_mode: dda_sim::EvalMode::default(),
-            runs_per_batch: 1,
         }
     }
 }
@@ -141,6 +138,24 @@ fn eval_repair_ctx(
     rag: Option<(&crate::rag::RagIndex, usize)>,
     cancel: &CancelToken,
 ) -> RepairCell {
+    let samples = repair_samples(model, problem, protocol, rag);
+    let mut sim_opts = testbench_sim_options(cancel);
+    sim_opts.eval_mode = protocol.eval_mode;
+    let (syntax_errors, best_function) = score_samples(problem, &samples, "fix.v", &sim_opts);
+    RepairCell {
+        syntax_errors,
+        best_function,
+    }
+}
+
+/// The `k` raw repairs of one problem in sample order: the outputs
+/// [`eval_repair`] (or, with `rag`, [`eval_repair_rag`]) lints and scores.
+pub fn repair_samples(
+    model: &Slm,
+    problem: &VerilogProblem,
+    protocol: &RepairProtocol,
+    rag: Option<(&crate::rag::RagIndex, usize)>,
+) -> Vec<String> {
     let (input, _) = broken_input(problem, protocol);
     let context = match rag {
         Some((index, k)) => index.context_for(&input, k),
@@ -151,28 +166,16 @@ fn eval_repair_ctx(
     };
     // One plan for the k samples: the fix search runs at most once.
     let plan = model.prompt(REPAIR_INSTRUCT, &input, &context);
-    let mut syntax_errors = 0;
-    let mut clean: Vec<String> = Vec::new();
-    for i in 0..protocol.k {
-        let mut rng = SmallRng::seed_from_u64(
-            protocol.seed.wrapping_add(77 + i as u64)
-                ^ hash_id(problem.id)
-                ^ hash_id(&model.profile().name).rotate_left(17),
-        );
-        let out = plan.generate(&opts, &mut rng);
-        if !dda_lint::check_source("fix.v", &out).is_clean() {
-            syntax_errors += 1;
-            continue;
-        }
-        clean.push(out);
-    }
-    let mut sim_opts = testbench_sim_options(cancel);
-    sim_opts.eval_mode = protocol.eval_mode;
-    let best_function = best_rate_batched(problem, &clean, protocol.runs_per_batch, &sim_opts);
-    RepairCell {
-        syntax_errors,
-        best_function,
-    }
+    (0..protocol.k)
+        .map(|i| {
+            let mut rng = SmallRng::seed_from_u64(
+                protocol.seed.wrapping_add(77 + i as u64)
+                    ^ hash_id(problem.id)
+                    ^ hash_id(&model.profile().name).rotate_left(17),
+            );
+            plan.generate(&opts, &mut rng)
+        })
+        .collect()
 }
 
 /// Per-problem rows for a model over a suite with retrieval augmentation
@@ -268,39 +271,6 @@ mod tests {
             "only {syntax_ok}/5 syntactically repaired: {cells:?}"
         );
         assert!(fixed >= 3, "only {fixed}/5 fully repaired: {cells:?}");
-    }
-
-    #[test]
-    fn batched_repair_cells_match_sequential() {
-        let model = dda_slm::Slm::finetune(
-            SlmProfile {
-                name: "strong-fixer".into(),
-                floor_repair: 0.95,
-                ..SlmProfile::llama2(13.0)
-            },
-            &dda_core::Dataset::new(),
-            &PROGRESSIVE_ORDER,
-        );
-        let suite = rtllm_suite();
-        let base = RepairProtocol {
-            seed: 10,
-            ..RepairProtocol::default()
-        };
-        for id in ["adder_8bit", "mux"] {
-            let p = suite.iter().find(|p| p.id == id).unwrap();
-            let sequential = eval_repair(&model, p, &base);
-            for r in [4, 8] {
-                let batched = eval_repair(
-                    &model,
-                    p,
-                    &RepairProtocol {
-                        runs_per_batch: r,
-                        ..base
-                    },
-                );
-                assert_eq!(batched, sequential, "{id} diverged at R={r}");
-            }
-        }
     }
 
     #[test]

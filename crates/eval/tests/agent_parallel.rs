@@ -11,12 +11,11 @@
 //!    reference.
 //! 3. **Span ↔ outcome reconciliation**: one trace file plus the counter
 //!    registry reconcile exactly with the returned [`AgentBatchOutcome`]
-//!    (rounds, chains, winner), under the `OBS_LOCK` discipline of
-//!    `crates/sim/tests/obs_batch.rs`. The recorder is process-global, so
-//!    every test in this binary holds `OBS_LOCK`: a batch running beside
-//!    the reconcile test would otherwise land in its counters.
-//! 4. **Engine invariance**: lockstep lanes (`runs_per_batch`) and the
-//!    batch simulator change wall-clock only, never an outcome.
+//!    (rounds, chains, winner). The recorder is process-global, so every
+//!    test in this binary holds `OBS_LOCK`: a batch running beside the
+//!    reconcile test would otherwise land in its counters.
+//! 4. **Engine invariance**: the AST and bytecode engines change
+//!    wall-clock only, never an outcome.
 
 use dda_benchmarks::thakur_suite;
 use dda_eval::rag::RagIndex;
@@ -177,21 +176,21 @@ fn early_exit_commit_is_worker_invariant() {
     }
 }
 
-/// Lockstep lanes and the batch simulator are stress knobs, not semantic
-/// ones: outcomes are bit-identical across `runs_per_batch` and engines.
+/// The simulator engine is a differential knob, not a semantic one:
+/// outcomes are bit-identical under the AST interpreter and the bytecode
+/// engine.
 #[test]
-fn lockstep_scoring_cannot_change_outcomes() {
+fn engine_choice_cannot_change_outcomes() {
     let _g = serial();
     let suite = thakur_suite();
     let problem = &suite[2];
     let base = opts(3, 2, 2, false);
     let reference = agent_batch(model(), problem, 2, &[], &base);
-    for (runs, mode) in [(4usize, EvalMode::Bytecode), (4, EvalMode::Batch)] {
+    for mode in [EvalMode::Ast, EvalMode::Bytecode] {
         let mut o = base.clone();
-        o.runs_per_batch = runs;
         o.eval_mode = mode;
         let got = agent_batch(model(), problem, 2, &[], &o);
-        assert_bit_identical(&got, &reference, &format!("runs={runs} mode={mode:?}"));
+        assert_bit_identical(&got, &reference, &format!("mode={mode:?}"));
     }
 }
 

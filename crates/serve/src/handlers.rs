@@ -12,10 +12,7 @@
 use crate::proto::{ErrorCode, ReqBody, RespBody};
 use dda_core::pipeline::{self, PipelineOptions, StageSet};
 use dda_corpus::{CorpusModule, Family};
-use dda_eval::generation::{
-    run_testbench_verdict_with, run_testbench_verdicts_batched, testbench_sim_options,
-    TestbenchVerdict,
-};
+use dda_eval::generation::{run_testbench_verdict_with, testbench_sim_options, TestbenchVerdict};
 use dda_eval::{agent_batch, AgentBatchOptions, AgentProtocol};
 use dda_runtime::CancelToken;
 use dda_slm::{GenOptions, ShardedTfIdf, Slm, SlmProfile, PROGRESSIVE_ORDER};
@@ -171,8 +168,8 @@ pub fn execute(cx: &HandlerCx, body: &ReqBody, token: &CancelToken) -> RespBody 
             rounds,
             early_exit,
             rag_k,
-            runs,
             seed,
+            ..
         } => run_agent(
             cx,
             problem,
@@ -181,7 +178,6 @@ pub fn execute(cx: &HandlerCx, body: &ReqBody, token: &CancelToken) -> RespBody 
             *rounds,
             *early_exit,
             *rag_k,
-            *runs,
             *seed,
             token,
         ),
@@ -265,7 +261,9 @@ fn run_retrieve(cx: &HandlerCx, query: &str, k: u64) -> RespBody {
 /// reference outcome by construction. The request deadline carries into
 /// the batch as the per-chain deadline; with `rag_k > 0` each chain's
 /// repair prompts pull that many context documents from the resident
-/// retrieval index (queried with the problem prompt itself).
+/// retrieval index (queried with the problem prompt itself). The request's
+/// `runs` is accepted for wire compatibility and changes nothing: the batch
+/// scores each distinct candidate once.
 #[allow(clippy::too_many_arguments)]
 fn run_agent(
     cx: &HandlerCx,
@@ -275,7 +273,6 @@ fn run_agent(
     rounds: u64,
     early_exit: bool,
     rag_k: u64,
-    runs: u64,
     seed: u64,
     token: &CancelToken,
 ) -> RespBody {
@@ -305,7 +302,6 @@ fn run_agent(
         workers: 1,
         early_exit,
         chain_deadline: token.remaining(),
-        runs_per_batch: runs as usize,
         ..AgentBatchOptions::default()
     };
     let out = agent_batch(&cx.slm, p, level, &context, &opts);
@@ -337,16 +333,11 @@ fn run_score(
     token: &CancelToken,
 ) -> RespBody {
     let opts = testbench_sim_options(token);
-    // `runs > 1` lockstep-scores that many identical lanes on the batch
-    // engine; every lane's verdict is bit-identical to the scalar run, so
-    // the response carries the first verdict plus the lane count.
-    let lanes = runs.clamp(1, dda_sim::MAX_BATCH_LANES as u64) as usize;
+    // Every lane of a `runs > 1` request is the same deterministic run, so
+    // one scalar run stands for all of them; `lanes` echoes the count.
+    let lanes = runs.clamp(1, dda_sim::MAX_BATCH_LANES as u64);
     let verdict = match (problem, testbench) {
         (Some(id), None) => match cx.problems.get(id) {
-            Some(p) if lanes > 1 => run_testbench_verdicts_batched(p, source, lanes, &opts)
-                .into_iter()
-                .next()
-                .expect("one verdict per requested lane"),
             Some(p) => run_testbench_verdict_with(p, source, &opts),
             None => {
                 return RespBody::Error {
@@ -355,7 +346,7 @@ fn run_score(
                 }
             }
         },
-        (None, Some(tb)) => score_inline(source, tb, top, lanes, &opts),
+        (None, Some(tb)) => score_inline(source, tb, top, &opts),
         _ => {
             return RespBody::Error {
                 code: ErrorCode::BadRequest,
@@ -370,31 +361,28 @@ fn run_score(
             return err;
         }
     }
-    let (verdict_s, detail) = match &verdict {
-        TestbenchVerdict::Scored(_) => ("scored", String::new()),
-        TestbenchVerdict::ParseError(m) => ("parse_error", m.clone()),
-        TestbenchVerdict::ElabError(m) => ("elab_error", m.clone()),
-        TestbenchVerdict::Timeout(m) => ("timeout", m.clone()),
-        TestbenchVerdict::Crash(m) => ("crash", m.clone()),
+    let detail = match &verdict {
+        TestbenchVerdict::Scored(_) => String::new(),
+        TestbenchVerdict::ParseError(m)
+        | TestbenchVerdict::ElabError(m)
+        | TestbenchVerdict::Timeout(m)
+        | TestbenchVerdict::Crash(m) => m.clone(),
     };
     RespBody::Scored {
-        verdict: verdict_s.to_string(),
+        verdict: verdict.kind().to_string(),
         pass_rate: verdict.pass_rate(),
         detail,
-        lanes: lanes as u64,
+        lanes,
     }
 }
 
 /// Scores a candidate against an inline testbench by hitting the shared
 /// design cache directly, mirroring `run_testbench_verdict_with` for
-/// sources that aren't part of a registered suite. With `lanes > 1` the
-/// copies run lockstep on the batch engine; lane verdicts are identical,
-/// so the first is returned.
+/// sources that aren't part of a registered suite.
 fn score_inline(
     source: &str,
     testbench: &str,
     top: &str,
-    lanes: usize,
     opts: &dda_sim::SimOptions,
 ) -> TestbenchVerdict {
     use dda_sim::cache::{shared_design, FrontendError};
@@ -406,15 +394,9 @@ fn score_inline(
                 FrontendError::Parse(m) => TestbenchVerdict::ParseError(m),
                 FrontendError::Elab(e) => TestbenchVerdict::ElabError(e.message),
             })?;
-            let run = if lanes > 1 {
-                dda_sim::run_batch(&design, &vec![None; lanes], opts)
-                    .into_iter()
-                    .next()
-                    .expect("one result per requested lane")
-            } else {
-                Simulator::from_design(design).run(opts)
-            };
-            let result = run.map_err(|e| TestbenchVerdict::Timeout(e.to_string()))?;
+            let result = Simulator::from_design(design)
+                .run(opts)
+                .map_err(|e| TestbenchVerdict::Timeout(e.to_string()))?;
             Ok(match dda_benchmarks::parse_result(&result.output) {
                 Some((pass, total)) if total > 0 => {
                     TestbenchVerdict::Scored(pass as f64 / total as f64)

@@ -116,11 +116,11 @@ pub enum ReqBody {
         testbench: Option<String>,
         /// Top module of the inline testbench (default `tb`).
         top: String,
-        /// Simulation lanes to score in one batched run (default 1 =
-        /// scalar scoring; clamped to [`dda_sim::MAX_BATCH_LANES`] at
-        /// decode time). Lane results are bit-identical to scalar runs;
-        /// the field exists to exercise and benchmark the batch engine
-        /// through the daemon.
+        /// Simulation lanes requested (default 1; clamped to
+        /// [`dda_sim::MAX_BATCH_LANES`] at decode time). Every lane of a
+        /// deterministic run has the same verdict, so the verdict is
+        /// computed once and replicated, and the response echoes the
+        /// count as `lanes`; kept for wire compatibility.
         runs: u64,
     },
     /// K-nearest corpus modules for a free-text query, from the resident
@@ -152,8 +152,10 @@ pub enum ReqBody {
         /// Few-shot context documents pulled from the resident retrieval
         /// index into each chain's repair prompts (0 = no RAG).
         rag_k: u64,
-        /// Lockstep lanes per candidate scoring (default 1 = scalar;
-        /// clamped to [`dda_sim::MAX_BATCH_LANES`]).
+        /// Simulation lanes per candidate scoring (default 1; clamped to
+        /// [`dda_sim::MAX_BATCH_LANES`]). Each distinct candidate's
+        /// verdict is computed once per batch and shared, so the count
+        /// changes no work and no outcome; kept for wire compatibility.
         runs: u64,
         /// Chain RNG seed (default [`DEFAULT_AGENT_SEED`]).
         seed: u64,
@@ -339,8 +341,8 @@ pub enum RespBody {
         pass_rate: f64,
         /// Failure detail (empty for `scored`).
         detail: String,
-        /// Simulation lanes actually scored (1 for scalar runs; echoes a
-        /// batched request's `runs`).
+        /// Lanes the verdict stands for: echoes the request's clamped
+        /// `runs` (the verdict is computed once and replicated).
         lanes: u64,
     },
     /// `retrieve` result.

@@ -1,34 +1,11 @@
-//! Batch-vectorized lockstep simulation.
+//! Multi-lane runs of one design.
 //!
-//! A [`BatchSim`] advances R same-design runs ("lanes") through **one**
-//! stratified event queue. Signal values are held as [`PackedBatch`]es, so
-//! while all lanes agree (the uniform fast path — the common case for
-//! pass@k sweeps that re-simulate one candidate under one testbench) every
-//! value operation runs once for all R lanes, which is where the batched
-//! throughput comes from.
-//!
-//! Lockstep is sound only while every *scheduling decision* — branch
-//! conditions, loop trip counts, case arm selection, delay amounts, event
-//! wake-ups, dynamic write indices — agrees across lanes. Each such
-//! decision is unified: the group of lanes agreeing with the lowest still
-//! active lane continues in lockstep, and disagreeing lanes are *retired*.
-//! A retired lane is re-run from scratch on the scalar [`Simulator`]
-//! bytecode engine with its own fresh budgets, which makes its result
-//! bit-identical to a sequential run by construction. Value-level lane
-//! divergence (an `x` in one lane, a different word in another) needs no
-//! fallback: values live in per-lane [`PackedBatch`] storage.
-//!
-//! Designs using constructs the lockstep core cannot mirror exactly —
-//! interpreter-fallback statements/expressions, `$monitor`, or `$random`
-//! inside `case` labels (lazy label evaluation would desynchronise per-lane
-//! random streams) — are detected by a static scan and run entirely on the
-//! scalar engine, one lane at a time.
-//!
-//! Per-lane `$display`/`$write` formatting goes through an embedded *probe*
-//! [`Simulator`]: the lane's values, time, and random state are synced in,
-//! the scalar formatting path runs verbatim, and the (possibly advanced)
-//! random state is synced back — so output text and `$random` streams match
-//! sequential execution exactly.
+//! The simulator is deterministic: a run's result is a function of the
+//! design, the [`SimOptions`] budgets and the `$random` seed. Lanes that
+//! share a seed therefore share a result, and [`run_batch`] computes it
+//! once per distinct seed on the scalar engine and clones it to every lane
+//! that asked for it. DESIGN.md §5o records why this replaced the
+//! lockstep engine.
 //!
 //! ## Example
 //!
@@ -50,1469 +27,36 @@
 //! # }
 //! ```
 
-use crate::compile::{CCont, CStmt, CTarget, CompiledDesign, ExprProg, Instr};
-use crate::elab::{Design, SigId};
-use crate::exec::{
-    apply_bin, proc_seed, target_width, EvalMode, RunError, RunErrorKind, SensWatch, SimOptions,
-    SimResult, Simulator, WriteTarget, WALL_POLL_PERIOD,
-};
-use dda_verilog::ast::{AssignKind, BinaryOp, Edge, UnaryOp};
-use dda_verilog::{Expr, LogicBit, PackedBatch, PackedVec, MAX_BATCH_LANES};
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use crate::elab::Design;
+use crate::exec::{RunError, SimOptions, SimResult, Simulator};
 
-/// How a batched run executed, for observability and tests.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BatchReport {
-    /// Lanes launched.
-    pub lanes: usize,
-    /// Lanes that ran to the end in lockstep.
-    pub lockstep_completed: usize,
-    /// Lanes retired to the scalar engine by a divergent decision.
-    pub diverged: usize,
-    /// The design failed the static scan; every lane ran scalar.
-    pub unsupported: bool,
-}
+/// Largest lane count a caller may request; the daemon clamps its wire
+/// `runs` field to it.
+pub const MAX_BATCH_LANES: usize = 64;
 
-/// Batched lockstep driver over one design and R per-lane `$random` seeds
-/// (`None` = the unseeded default stream, like a fresh [`Simulator`]).
-#[derive(Debug)]
-pub struct BatchSim {
-    design: Design,
-    seeds: Vec<Option<u64>>,
-    report: BatchReport,
-}
-
-impl BatchSim {
-    /// Prepares a batch of `seeds.len()` lanes over `design`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when more than [`MAX_BATCH_LANES`] lanes are requested.
-    pub fn new(design: Design, seeds: Vec<Option<u64>>) -> BatchSim {
-        assert!(
-            seeds.len() <= MAX_BATCH_LANES,
-            "at most {MAX_BATCH_LANES} lanes per batch"
-        );
-        BatchSim {
-            design,
-            seeds,
-            report: BatchReport::default(),
-        }
-    }
-
-    /// How the most recent [`BatchSim::run`] executed.
-    pub fn report(&self) -> &BatchReport {
-        &self.report
-    }
-
-    /// Runs every lane and returns per-lane results, index-aligned with the
-    /// seeds. Each lane's result is bit-identical to running that seed on a
-    /// fresh scalar [`Simulator`] in bytecode mode with the same options.
-    pub fn run(&mut self, opts: &SimOptions) -> Vec<Result<SimResult, RunError>> {
-        let lanes = self.seeds.len();
-        if lanes == 0 {
-            self.report = BatchReport::default();
-            return Vec::new();
-        }
-        let compiled = self.design.compiled();
-        if dda_obs::enabled() {
-            dda_obs::count("sim.run.batch", 1);
-            dda_obs::count("sim.batch.lanes", lanes as u64);
-        }
-        if !design_supported(&compiled) {
-            self.report = BatchReport {
-                lanes,
-                lockstep_completed: 0,
-                diverged: 0,
-                unsupported: true,
-            };
-            if dda_obs::enabled() {
-                dda_obs::count("sim.batch.fallback", lanes as u64);
-            }
-            return self
-                .seeds
-                .iter()
-                .map(|s| run_scalar(&self.design, *s, opts))
-                .collect();
-        }
-        let mut core = Core::new(&self.design, compiled, &self.seeds);
-        let outcome = core.run(opts);
-        let diverged = core.retired.count_ones() as usize;
-        if dda_obs::enabled() {
-            if core.steps > 0 {
-                dda_obs::count("sim.steps", core.steps);
-            }
-            if core.fused_hits > 0 {
-                dda_obs::count("sim.fused.hits", core.fused_hits);
-            }
-            if diverged > 0 {
-                dda_obs::count("sim.batch.fallback", diverged as u64);
-            }
-        }
-        let results = (0..lanes)
-            .map(|l| {
-                if core.retired & (1u64 << l) != 0 {
-                    // Fresh scalar run, fresh budgets: sequential-identical.
-                    run_scalar(&self.design, self.seeds[l], opts)
-                } else {
-                    match &outcome {
-                        Ok(()) => Ok(SimResult {
-                            finished: core.finished,
-                            time: core.time,
-                            output: std::mem::take(&mut core.outputs[l]),
-                            error_count: core.error_count,
-                        }),
-                        Err(e) => Err(e.clone()),
-                    }
-                }
-            })
-            .collect();
-        self.report = BatchReport {
-            lanes,
-            lockstep_completed: lanes - diverged,
-            diverged,
-            unsupported: false,
-        };
-        results
-    }
-}
-
-/// One-shot convenience over [`BatchSim`]: batch-runs `design` once per
-/// seed and returns the per-lane results.
+/// Runs `design` once per lane, lane `l` seeded with `seeds[l]` (`None` =
+/// the unseeded default stream, like a fresh [`Simulator`]). Each lane's
+/// result equals a fresh scalar run of its seed with the same options;
+/// lanes sharing a seed share one run.
 pub fn run_batch(
     design: &Design,
     seeds: &[Option<u64>],
     opts: &SimOptions,
 ) -> Vec<Result<SimResult, RunError>> {
-    BatchSim::new(design.clone(), seeds.to_vec()).run(opts)
-}
-
-/// One lane on the scalar bytecode engine (retired-lane / unsupported-design
-/// path). Budgets restart from the options, exactly like a sequential run.
-fn run_scalar(
-    design: &Design,
-    seed: Option<u64>,
-    opts: &SimOptions,
-) -> Result<SimResult, RunError> {
-    let mut sim = Simulator::from_design(design.clone());
-    if let Some(s) = seed {
-        sim.seed_random(s);
-    }
-    let mut o = opts.clone();
-    o.eval_mode = EvalMode::Bytecode;
-    sim.run(&o)
-}
-
-// ---------------------------------------------------------------------------
-// Static design scan
-// ---------------------------------------------------------------------------
-
-/// Whether the compiled design can run in lockstep at all. Rejections:
-/// interpreter fallbacks (statement or expression), `$monitor`, and
-/// `$random` inside case labels (scalar label evaluation is lazy and stops
-/// at the first match, so batched over-evaluation would desynchronise the
-/// per-lane random streams; every other label expression is pure and safe
-/// to over-evaluate).
-fn design_supported(c: &CompiledDesign) -> bool {
-    c.procs.iter().all(|p| {
-        let cont_ok = match &p.cont {
-            Some(CCont::Ast) => false,
-            Some(CCont::Prog { rhs, target }) => prog_ok(rhs, false) && target_ok(target),
-            None => true,
-        };
-        cont_ok && p.body.as_ref().is_none_or(|b| stmt_ok(b))
-    })
-}
-
-fn stmt_ok(s: &CStmt) -> bool {
-    match s {
-        CStmt::Block(stmts) => stmts.iter().all(|s| stmt_ok(s)),
-        CStmt::Null => true,
-        CStmt::Assign {
-            rhs, target, delay, ..
-        } => {
-            prog_ok(rhs, false)
-                && target_ok(target)
-                && delay.as_ref().is_none_or(|d| prog_ok(d, false))
-        }
-        CStmt::If {
-            cond,
-            then_s,
-            else_s,
-        } => prog_ok(cond, false) && stmt_ok(then_s) && else_s.as_ref().is_none_or(|e| stmt_ok(e)),
-        CStmt::Case { sel, arms, .. } => {
-            prog_ok(sel, false)
-                && arms
-                    .iter()
-                    .all(|arm| arm.labels.iter().all(|l| prog_ok(l, true)) && stmt_ok(&arm.body))
-        }
-        CStmt::For {
-            init,
-            cond,
-            step,
-            body,
-        } => prog_ok(cond, false) && stmt_ok(init) && stmt_ok(step) && stmt_ok(body),
-        CStmt::While { cond, body } => prog_ok(cond, false) && stmt_ok(body),
-        CStmt::Repeat { count, body } => prog_ok(count, false) && stmt_ok(body),
-        CStmt::Forever { body } => stmt_ok(body),
-        CStmt::Delay { amount, stmt } => {
-            prog_ok(amount, false) && stmt.as_ref().is_none_or(|s| stmt_ok(s))
-        }
-        CStmt::Event { stmt, .. } => stmt.as_ref().is_none_or(|s| stmt_ok(s)),
-        CStmt::Wait { cond, stmt, .. } => {
-            prog_ok(cond, false) && stmt.as_ref().is_none_or(|s| stmt_ok(s))
-        }
-        CStmt::SysCall { name, .. } => name != "monitor",
-        CStmt::Ast(_) => false,
-    }
-}
-
-fn prog_ok(p: &ExprProg, forbid_rand: bool) -> bool {
-    p.instrs.iter().all(|i| match i {
-        Instr::Fallback { .. } => false,
-        Instr::Rand { .. } => !forbid_rand,
-        _ => true,
-    })
-}
-
-fn target_ok(t: &CTarget) -> bool {
-    match t {
-        CTarget::BitDyn { idx, .. } | CTarget::WordDyn { idx, .. } => prog_ok(idx, false),
-        CTarget::Pack(parts) => parts.iter().all(target_ok),
-        _ => true,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Lockstep core
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LaneStatus {
-    Ready,
-    WaitEvent,
-    WaitTime,
-    Done,
-}
-
-/// Mirror of the scalar compiled task stack over batched values.
-#[allow(clippy::large_enum_variant)]
-enum BTask {
-    Exec(Arc<CStmt>),
-    /// Apply a pre-evaluated blocking write (after an intra-assign delay).
-    Apply(WriteTarget, PackedBatch),
-    LoopWhile(Arc<CStmt>),
-    LoopFor(Arc<CStmt>),
-    LoopRepeat {
-        remaining: u64,
-        node: Arc<CStmt>,
-    },
-    LoopForever(Arc<CStmt>),
-    /// Re-check a `wait` condition on resume.
-    WaitCheck {
-        cond: Arc<ExprProg>,
-        watches: Arc<[SensWatch]>,
-    },
-}
-
-enum BFuture {
-    Wake(usize),
-    Nba(WriteTarget, PackedBatch),
-}
-
-struct BProc {
-    tasks: Vec<BTask>,
-    status: LaneStatus,
-    watches: Arc<[SensWatch]>,
-    rearm: Option<Arc<[SensWatch]>>,
-    free_running: bool,
-    is_initial: bool,
-    is_continuous: bool,
-}
-
-struct Core<'d> {
-    design: &'d Design,
-    compiled: Arc<CompiledDesign>,
-    lanes: usize,
-    /// Lanes still in lockstep (bit per lane; never empty once started).
-    active: u64,
-    /// Lanes retired by a divergent scheduling decision.
-    retired: u64,
-    store: Vec<PackedBatch>,
-    mems: Vec<Vec<PackedBatch>>,
-    time: u64,
-    /// Per-lane xorshift state, advanced exactly as the scalar engine does.
-    rand: Vec<u64>,
-    procs: Vec<BProc>,
-    ready: VecDeque<usize>,
-    in_ready: Vec<bool>,
-    future: BTreeMap<u64, Vec<BFuture>>,
-    nba: Vec<(WriteTarget, PackedBatch)>,
-    pending: Vec<(SigId, PackedBatch, PackedBatch)>,
-    outputs: Vec<String>,
-    finished: bool,
-    error_count: usize,
-    steps: u64,
-    scratch: Vec<PackedBatch>,
-    fused_hits: u64,
-    /// Scalar simulator used for `$display`-family formatting: lane state is
-    /// synced in, the scalar formatting path runs, and the random state is
-    /// synced back, keeping per-lane streams sequential-identical.
-    probe: Simulator,
-}
-
-impl<'d> Core<'d> {
-    fn new(design: &'d Design, compiled: Arc<CompiledDesign>, seeds: &[Option<u64>]) -> Core<'d> {
-        let lanes = seeds.len();
-        let mut store = Vec::with_capacity(design.signals.len());
-        let mut mems = Vec::with_capacity(design.signals.len());
-        for s in &design.signals {
-            store.push(PackedBatch::splat(&PackedVec::xs(s.width), lanes));
-            if s.mem.is_some() {
-                mems.push(vec![
-                    PackedBatch::splat(&PackedVec::xs(s.width), lanes);
-                    s.mem_len()
-                ]);
-            } else {
-                mems.push(Vec::new());
+    let mut runs: Vec<(Option<u64>, Result<SimResult, RunError>)> = Vec::new();
+    seeds
+        .iter()
+        .map(|&seed| {
+            if let Some((_, r)) = runs.iter().find(|(s, _)| *s == seed) {
+                return r.clone();
             }
-        }
-        let mut probe = Simulator::from_design(design.clone());
-        let rand: Vec<u64> = seeds
-            .iter()
-            .map(|s| match s {
-                Some(seed) => {
-                    probe.seed_random(*seed);
-                    probe.rand_state.get()
-                }
-                None => 0x9E3779B97F4A7C15,
-            })
-            .collect();
-        probe.rand_state.set(0x9E3779B97F4A7C15);
-        let procs: Vec<BProc> = design
-            .processes
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let seed = proc_seed(p, design);
-                let tasks = if seed.is_continuous {
-                    Vec::new()
-                } else {
-                    let body = compiled.procs[i]
-                        .body
-                        .clone()
-                        .expect("non-continuous process has a compiled body");
-                    vec![BTask::Exec(body)]
-                };
-                BProc {
-                    tasks,
-                    status: if seed.ready {
-                        LaneStatus::Ready
-                    } else {
-                        LaneStatus::WaitEvent
-                    },
-                    watches: seed.watches,
-                    rearm: seed.rearm,
-                    free_running: seed.free_running,
-                    is_initial: seed.is_initial,
-                    is_continuous: seed.is_continuous,
-                }
-            })
-            .collect();
-        let nprocs = procs.len();
-        let nregs = compiled.nregs;
-        Core {
-            design,
-            compiled,
-            lanes,
-            active: PackedBatch::all_lanes_mask(lanes),
-            retired: 0,
-            store,
-            mems,
-            time: 0,
-            rand,
-            procs,
-            ready: VecDeque::new(),
-            in_ready: vec![false; nprocs],
-            future: BTreeMap::new(),
-            nba: Vec::new(),
-            pending: Vec::new(),
-            outputs: vec![String::new(); lanes],
-            finished: false,
-            error_count: 0,
-            steps: 0,
-            scratch: vec![PackedBatch::splat(&PackedVec::default(), lanes); nregs],
-            fused_hits: 0,
-            probe,
-        }
-    }
-
-    // -- divergence ---------------------------------------------------------
-
-    fn leader(&self) -> usize {
-        self.active.trailing_zeros() as usize
-    }
-
-    fn retire(&mut self, mask: u64) {
-        let mask = mask & self.active;
-        if mask == 0 {
-            return;
-        }
-        self.active &= !mask;
-        self.retired |= mask;
-        debug_assert!(self.active != 0, "the leader lane never retires");
-    }
-
-    /// Unifies a boolean decision from a per-lane truth mask: the leader's
-    /// bit decides, lanes disagreeing with it retire.
-    fn decide_mask(&mut self, truth: u64) -> bool {
-        let d0 = truth & (1u64 << self.leader()) != 0;
-        let agree = if d0 { truth } else { !truth };
-        self.retire(self.active & !agree);
-        d0
-    }
-
-    /// Unified `truthy() == Some(true)` decision over a batched value.
-    fn decide_truthy(&mut self, v: &PackedBatch) -> bool {
-        if let Some(u) = v.as_uniform() {
-            return u.truthy() == Some(true);
-        }
-        let mut truth = 0u64;
-        let mut m = self.active;
-        while m != 0 {
-            let l = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if v.truthy_lane(l) == Some(true) {
-                truth |= 1u64 << l;
+            let mut sim = Simulator::from_design(design.clone());
+            if let Some(s) = seed {
+                sim.seed_random(s);
             }
-        }
-        self.decide_mask(truth)
-    }
-
-    /// Unified `to_u64_ext().unwrap_or(0)` decision (delay amounts, repeat
-    /// counts).
-    fn decide_u64(&mut self, v: &PackedBatch) -> u64 {
-        if let Some(u) = v.as_uniform() {
-            return u.to_u64_ext().unwrap_or(0);
-        }
-        let leader = self.leader();
-        let d0 = v.lane(leader).to_u64_ext().unwrap_or(0);
-        let mut retire_mask = 0u64;
-        let mut m = self.active & !(1u64 << leader);
-        while m != 0 {
-            let l = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if v.lane(l).to_u64_ext().unwrap_or(0) != d0 {
-                retire_mask |= 1u64 << l;
-            }
-        }
-        self.retire(retire_mask);
-        d0
-    }
-
-    /// Unified `to_u64_ext()` decision (dynamic write indices, where `None`
-    /// means a discarded write).
-    fn decide_index(&mut self, v: &PackedBatch) -> Option<u64> {
-        if let Some(u) = v.as_uniform() {
-            return u.to_u64_ext();
-        }
-        let leader = self.leader();
-        let d0 = v.lane(leader).to_u64_ext();
-        let mut retire_mask = 0u64;
-        let mut m = self.active & !(1u64 << leader);
-        while m != 0 {
-            let l = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if v.lane(l).to_u64_ext() != d0 {
-                retire_mask |= 1u64 << l;
-            }
-        }
-        self.retire(retire_mask);
-        d0
-    }
-
-    // -- event loop ---------------------------------------------------------
-
-    fn start(&mut self) {
-        for (id, def) in self.design.signals.iter().enumerate() {
-            if let Some(init) = &def.init {
-                let old = self.store[id].clone();
-                let new = PackedBatch::splat(
-                    &PackedVec::from_logic(init).resize(def.width, false),
-                    self.lanes,
-                );
-                self.store[id] = new.clone();
-                self.pending.push((id, old, new));
-            }
-        }
-        for i in 0..self.procs.len() {
-            if self.procs[i].status == LaneStatus::Ready {
-                self.ready.push_back(i);
-                self.in_ready[i] = true;
-            }
-        }
-        self.drain_changes();
-    }
-
-    fn run(&mut self, opts: &SimOptions) -> Result<(), RunError> {
-        self.start();
-        loop {
-            let mut deltas = 0usize;
-            loop {
-                if self.finished {
-                    break;
-                }
-                if let Some(p) = self.ready.pop_front() {
-                    self.in_ready[p] = false;
-                    self.run_proc(p, opts)?;
-                    continue;
-                }
-                if !self.nba.is_empty() {
-                    deltas += 1;
-                    if deltas > opts.max_deltas {
-                        return Err(RunError {
-                            message: "nonblocking-update delta limit exceeded".into(),
-                            time: self.time,
-                            kind: RunErrorKind::DeltaLimit,
-                        });
-                    }
-                    let updates = std::mem::take(&mut self.nba);
-                    for (t, v) in updates {
-                        self.write(t, v);
-                    }
-                    self.drain_changes();
-                    continue;
-                }
-                break;
-            }
-            if self.finished {
-                break;
-            }
-            // (No $monitor in lockstep: the static scan rejects it.)
-            let Some((&t, _)) = self.future.iter().next() else {
-                break; // quiescent
-            };
-            if t > opts.max_time {
-                break;
-            }
-            self.check_wall(opts)?;
-            self.time = t;
-            let events = self.future.remove(&t).unwrap_or_default();
-            for ev in events {
-                match ev {
-                    BFuture::Wake(p) => {
-                        if self.procs[p].status == LaneStatus::WaitTime {
-                            self.procs[p].status = LaneStatus::Ready;
-                            self.enqueue(p);
-                        }
-                    }
-                    BFuture::Nba(t, v) => self.nba.push((t, v)),
-                }
-            }
-        }
-        Ok(())
-    }
-
-    #[inline]
-    fn check_wall(&self, opts: &SimOptions) -> Result<(), RunError> {
-        if opts.cancel.is_cancelled() {
-            return Err(RunError {
-                message: "wall-clock deadline exceeded".into(),
-                time: self.time,
-                kind: RunErrorKind::WallTimeout,
-            });
-        }
-        Ok(())
-    }
-
-    fn enqueue(&mut self, p: usize) {
-        if !self.in_ready[p] {
-            self.in_ready[p] = true;
-            self.ready.push_back(p);
-        }
-    }
-
-    fn run_proc(&mut self, p: usize, opts: &SimOptions) -> Result<(), RunError> {
-        if self.procs[p].is_continuous {
-            self.run_cont(p);
-            return Ok(());
-        }
-        loop {
-            if self.finished {
-                return Ok(());
-            }
-            self.steps += 1;
-            if self.steps > opts.max_steps {
-                return Err(RunError {
-                    message: "statement budget exceeded (runaway loop?)".into(),
-                    time: self.time,
-                    kind: RunErrorKind::StepBudget,
-                });
-            }
-            if self.steps.is_multiple_of(WALL_POLL_PERIOD) {
-                self.check_wall(opts)?;
-            }
-            let Some(task) = self.procs[p].tasks.pop() else {
-                // Body complete.
-                if self.procs[p].is_initial {
-                    self.procs[p].status = LaneStatus::Done;
-                    return Ok(());
-                }
-                let rearm = self.procs[p]
-                    .rearm
-                    .clone()
-                    .unwrap_or_else(|| Vec::new().into());
-                if self.design.processes[p].body.is_none() {
-                    // Malformed always with no body: never reschedule.
-                    return Ok(());
-                }
-                let body = self.compiled.procs[p]
-                    .body
-                    .clone()
-                    .expect("non-continuous process has a compiled body");
-                self.procs[p].tasks.push(BTask::Exec(body));
-                if self.procs[p].free_running {
-                    continue;
-                }
-                self.procs[p].watches = rearm;
-                self.procs[p].status = LaneStatus::WaitEvent;
-                return Ok(());
-            };
-            if !self.exec_task(p, task)? {
-                return Ok(()); // suspended
-            }
-        }
-    }
-
-    fn run_cont(&mut self, p: usize) {
-        let compiled = Arc::clone(&self.compiled);
-        let Some(CCont::Prog { rhs, target }) = &compiled.procs[p].cont else {
-            unreachable!("static scan rejects AST continuous assignments");
-        };
-        let v = self.eval_prog(rhs);
-        let wt = self.resolve_ctarget(target);
-        let width = target_width(&wt, self.design).max(1);
-        self.write(wt, v.map1(|x| x.resize(width, false)));
-        self.procs[p].status = LaneStatus::WaitEvent;
-        self.drain_changes();
-    }
-
-    /// Executes one task; returns `false` when the process suspended.
-    fn exec_task(&mut self, p: usize, task: BTask) -> Result<bool, RunError> {
-        match task {
-            BTask::Apply(target, value) => {
-                self.write(target, value);
-                self.drain_changes();
-                Ok(true)
-            }
-            BTask::WaitCheck { cond, watches } => {
-                let v = self.eval_prog(&cond);
-                if self.decide_truthy(&v) {
-                    Ok(true)
-                } else {
-                    self.procs[p].tasks.push(BTask::WaitCheck {
-                        cond,
-                        watches: Arc::clone(&watches),
-                    });
-                    self.procs[p].watches = watches;
-                    self.procs[p].status = LaneStatus::WaitEvent;
-                    Ok(false)
-                }
-            }
-            BTask::LoopWhile(node) => {
-                let CStmt::While { cond, body } = &*node else {
-                    unreachable!("LoopWhile holds a While node");
-                };
-                let v = self.eval_prog(cond);
-                if self.decide_truthy(&v) {
-                    let body = Arc::clone(body);
-                    self.procs[p]
-                        .tasks
-                        .push(BTask::LoopWhile(Arc::clone(&node)));
-                    self.procs[p].tasks.push(BTask::Exec(body));
-                }
-                Ok(true)
-            }
-            BTask::LoopFor(node) => {
-                let CStmt::For {
-                    cond, step, body, ..
-                } = &*node
-                else {
-                    unreachable!("LoopFor holds a For node");
-                };
-                let v = self.eval_prog(cond);
-                if self.decide_truthy(&v) {
-                    let (step, body) = (Arc::clone(step), Arc::clone(body));
-                    self.procs[p].tasks.push(BTask::LoopFor(Arc::clone(&node)));
-                    self.procs[p].tasks.push(BTask::Exec(step));
-                    self.procs[p].tasks.push(BTask::Exec(body));
-                }
-                Ok(true)
-            }
-            BTask::LoopRepeat { remaining, node } => {
-                if remaining > 0 {
-                    let CStmt::Repeat { body, .. } = &*node else {
-                        unreachable!("LoopRepeat holds a Repeat node");
-                    };
-                    let body = Arc::clone(body);
-                    self.procs[p].tasks.push(BTask::LoopRepeat {
-                        remaining: remaining - 1,
-                        node: Arc::clone(&node),
-                    });
-                    self.procs[p].tasks.push(BTask::Exec(body));
-                }
-                Ok(true)
-            }
-            BTask::LoopForever(node) => {
-                let CStmt::Forever { body } = &*node else {
-                    unreachable!("LoopForever holds a Forever node");
-                };
-                let body = Arc::clone(body);
-                self.procs[p]
-                    .tasks
-                    .push(BTask::LoopForever(Arc::clone(&node)));
-                self.procs[p].tasks.push(BTask::Exec(body));
-                Ok(true)
-            }
-            BTask::Exec(node) => self.exec_cstmt(p, node),
-        }
-    }
-
-    /// Mirrors the scalar `exec_cstmt` arm for arm so step counts and event
-    /// ordering are identical; every scheduling decision goes through a
-    /// `decide_*` unifier.
-    fn exec_cstmt(&mut self, p: usize, node: Arc<CStmt>) -> Result<bool, RunError> {
-        match &*node {
-            CStmt::Block(stmts) => {
-                for s in stmts.iter().rev() {
-                    self.procs[p].tasks.push(BTask::Exec(Arc::clone(s)));
-                }
-                Ok(true)
-            }
-            CStmt::Null => Ok(true),
-            CStmt::Assign {
-                rhs,
-                target,
-                signed,
-                kind,
-                delay,
-            } => {
-                let value = self.eval_prog(rhs);
-                let target = self.resolve_ctarget(target);
-                let width = target_width(&target, self.design).max(1);
-                let value = value.map1(|v| v.resize(width, *signed));
-                let delay_amt = delay.as_ref().map(|d| {
-                    let dv = self.eval_prog(d);
-                    self.decide_u64(&dv)
-                });
-                self.finish_assign(p, *kind, target, value, delay_amt)
-            }
-            CStmt::If {
-                cond,
-                then_s,
-                else_s,
-            } => {
-                let v = self.eval_prog(cond);
-                if self.decide_truthy(&v) {
-                    self.procs[p].tasks.push(BTask::Exec(Arc::clone(then_s)));
-                } else if let Some(e) = else_s {
-                    self.procs[p].tasks.push(BTask::Exec(Arc::clone(e)));
-                }
-                Ok(true)
-            }
-            CStmt::Case {
-                wild_z,
-                wild_x,
-                sel,
-                arms,
-            } => {
-                let sel = self.eval_prog(sel);
-                // Per-lane first-matching arm (None = default; the last
-                // default arm wins, like the scalar overwrite). Labels are
-                // pure (the static scan forbids $random there), so
-                // over-evaluating them relative to the scalar lazy walk is
-                // unobservable.
-                let mut decided = [None::<usize>; MAX_BATCH_LANES];
-                let mut undecided = self.active;
-                let mut default_idx: Option<usize> = None;
-                for (k, arm) in arms.iter().enumerate() {
-                    if arm.labels.is_empty() {
-                        default_idx = Some(k);
-                        continue;
-                    }
-                    if undecided == 0 {
-                        continue;
-                    }
-                    for lprog in arm.labels.iter() {
-                        if undecided == 0 {
-                            break;
-                        }
-                        let lv = self.eval_prog(lprog);
-                        if let (Some(s), Some(lu)) = (sel.as_uniform(), lv.as_uniform()) {
-                            if s.matches_with_wildcards(lu, *wild_z, *wild_x) {
-                                let mut m = undecided;
-                                while m != 0 {
-                                    let l = m.trailing_zeros() as usize;
-                                    m &= m - 1;
-                                    decided[l] = Some(k);
-                                }
-                                undecided = 0;
-                            }
-                        } else {
-                            let mut m = undecided;
-                            while m != 0 {
-                                let l = m.trailing_zeros() as usize;
-                                m &= m - 1;
-                                if sel
-                                    .lane(l)
-                                    .matches_with_wildcards(&lv.lane(l), *wild_z, *wild_x)
-                                {
-                                    decided[l] = Some(k);
-                                    undecided &= !(1u64 << l);
-                                }
-                            }
-                        }
-                    }
-                }
-                // Which arm runs is a scheduling decision: unify on it.
-                let leader = self.leader();
-                let d0 = decided[leader];
-                let mut retire_mask = 0u64;
-                let mut m = self.active & !(1u64 << leader);
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    if decided[l] != d0 {
-                        retire_mask |= 1u64 << l;
-                    }
-                }
-                self.retire(retire_mask);
-                match d0 {
-                    Some(k) => {
-                        self.procs[p]
-                            .tasks
-                            .push(BTask::Exec(Arc::clone(&arms[k].body)));
-                    }
-                    None => {
-                        if let Some(dk) = default_idx {
-                            self.procs[p]
-                                .tasks
-                                .push(BTask::Exec(Arc::clone(&arms[dk].body)));
-                        }
-                    }
-                }
-                Ok(true)
-            }
-            CStmt::For { init, .. } => {
-                self.procs[p].tasks.push(BTask::LoopFor(Arc::clone(&node)));
-                self.procs[p].tasks.push(BTask::Exec(Arc::clone(init)));
-                Ok(true)
-            }
-            CStmt::While { .. } => {
-                self.procs[p]
-                    .tasks
-                    .push(BTask::LoopWhile(Arc::clone(&node)));
-                Ok(true)
-            }
-            CStmt::Repeat { count, .. } => {
-                let v = self.eval_prog(count);
-                let n = self.decide_u64(&v);
-                self.procs[p].tasks.push(BTask::LoopRepeat {
-                    remaining: n,
-                    node: Arc::clone(&node),
-                });
-                Ok(true)
-            }
-            CStmt::Forever { .. } => {
-                self.procs[p]
-                    .tasks
-                    .push(BTask::LoopForever(Arc::clone(&node)));
-                Ok(true)
-            }
-            CStmt::Delay { amount, stmt } => {
-                let v = self.eval_prog(amount);
-                let d = self.decide_u64(&v);
-                if let Some(s) = stmt {
-                    self.procs[p].tasks.push(BTask::Exec(Arc::clone(s)));
-                }
-                self.schedule_wake(p, self.time + d);
-                Ok(false)
-            }
-            CStmt::Event { watches, stmt } => {
-                if let Some(s) = stmt {
-                    self.procs[p].tasks.push(BTask::Exec(Arc::clone(s)));
-                }
-                if watches.is_empty() {
-                    return Ok(true);
-                }
-                self.procs[p].watches = Arc::clone(watches);
-                self.procs[p].status = LaneStatus::WaitEvent;
-                Ok(false)
-            }
-            CStmt::Wait {
-                cond,
-                watches,
-                stmt,
-            } => {
-                if let Some(s) = stmt {
-                    self.procs[p].tasks.push(BTask::Exec(Arc::clone(s)));
-                }
-                let v = self.eval_prog(cond);
-                if self.decide_truthy(&v) {
-                    Ok(true)
-                } else {
-                    self.procs[p].tasks.push(BTask::WaitCheck {
-                        cond: Arc::clone(cond),
-                        watches: Arc::clone(watches),
-                    });
-                    self.procs[p].watches = Arc::clone(watches);
-                    self.procs[p].status = LaneStatus::WaitEvent;
-                    Ok(false)
-                }
-            }
-            CStmt::SysCall { name, args } => {
-                self.exec_syscall(name, args);
-                Ok(!self.finished)
-            }
-            CStmt::Ast(_) => unreachable!("static scan rejects AST statements"),
-        }
-    }
-
-    /// Shared tail of blocking/nonblocking assignment dispatch.
-    fn finish_assign(
-        &mut self,
-        p: usize,
-        kind: AssignKind,
-        target: WriteTarget,
-        value: PackedBatch,
-        delay_amt: Option<u64>,
-    ) -> Result<bool, RunError> {
-        match (kind, delay_amt) {
-            (AssignKind::Blocking, None) => {
-                self.write(target, value);
-                self.drain_changes();
-                Ok(true)
-            }
-            (AssignKind::Blocking, Some(d)) => {
-                self.procs[p].tasks.push(BTask::Apply(target, value));
-                self.schedule_wake(p, self.time + d);
-                Ok(false)
-            }
-            (AssignKind::NonBlocking, None) => {
-                self.nba.push((target, value));
-                Ok(true)
-            }
-            (AssignKind::NonBlocking, Some(d)) => {
-                let t = self.time + d;
-                self.future
-                    .entry(t)
-                    .or_default()
-                    .push(BFuture::Nba(target, value));
-                Ok(true)
-            }
-        }
-    }
-
-    fn schedule_wake(&mut self, p: usize, t: u64) {
-        self.procs[p].status = LaneStatus::WaitTime;
-        self.future.entry(t).or_default().push(BFuture::Wake(p));
-    }
-
-    /// Resolves a compiled lvalue; dynamic indices are unified decisions.
-    fn resolve_ctarget(&mut self, t: &CTarget) -> WriteTarget {
-        match t {
-            CTarget::Full(id) => WriteTarget::Full(*id),
-            CTarget::BitsConst(id, lo, w) => WriteTarget::Bits(*id, *lo, *w),
-            CTarget::WordConst(id, off) => WriteTarget::Word(*id, *off),
-            CTarget::BitDyn { sig, idx } => {
-                let v = self.eval_prog(idx);
-                match self.decide_index(&v) {
-                    Some(i) => match self.design.signals[*sig].bit_offset(i as i64) {
-                        Some(o) => WriteTarget::Bits(*sig, o, 1),
-                        None => WriteTarget::Void,
-                    },
-                    None => WriteTarget::Void,
-                }
-            }
-            CTarget::WordDyn { sig, idx } => {
-                let v = self.eval_prog(idx);
-                match self.decide_index(&v) {
-                    Some(i) => match self.design.signals[*sig].word_offset(i as i64) {
-                        Some(o) => WriteTarget::Word(*sig, o),
-                        None => WriteTarget::Void,
-                    },
-                    None => WriteTarget::Void,
-                }
-            }
-            CTarget::Pack(parts) => WriteTarget::Pack(
-                parts
-                    .iter()
-                    .map(|part| {
-                        let t = self.resolve_ctarget(part);
-                        let w = target_width(&t, self.design);
-                        (t, w)
-                    })
-                    .collect(),
-            ),
-            CTarget::Void => WriteTarget::Void,
-        }
-    }
-
-    // -- writes and wake-up -------------------------------------------------
-
-    fn write(&mut self, target: WriteTarget, value: PackedBatch) {
-        match target {
-            WriteTarget::Void => {}
-            WriteTarget::Full(id) => {
-                let width = self.design.signals[id].width;
-                let new = value.map1(|v| v.resize(width, false));
-                let old = std::mem::replace(&mut self.store[id], new.clone());
-                if old.ne_mask(&new) != 0 {
-                    self.pending.push((id, old, new));
-                }
-            }
-            WriteTarget::Bits(id, lo, width) => {
-                let old = self.store[id].clone();
-                let mut new = old.clone();
-                new.set_range_batch(lo, width, &value);
-                if old.ne_mask(&new) != 0 {
-                    self.store[id] = new.clone();
-                    self.pending.push((id, old, new));
-                }
-            }
-            WriteTarget::Word(id, off) => {
-                let width = self.design.signals[id].width;
-                let new = value.map1(|v| v.resize(width, false));
-                if off < self.mems[id].len() {
-                    let old = std::mem::replace(&mut self.mems[id][off], new.clone());
-                    // The scalar engine pushes a synthetic change (waking
-                    // level watchers of the memory) only when the word
-                    // changed; that is a scheduling decision, so lanes must
-                    // agree on it.
-                    let changed_mask = old.ne_mask(&new) & self.active;
-                    let changed = if changed_mask == 0 {
-                        false
-                    } else if changed_mask & self.active == self.active {
-                        true
-                    } else {
-                        self.decide_mask(changed_mask)
-                    };
-                    if changed {
-                        self.pending.push((
-                            id,
-                            PackedBatch::splat(&PackedVec::zeros(1), self.lanes),
-                            PackedBatch::splat(&PackedVec::from_bool(true), self.lanes),
-                        ));
-                    }
-                }
-            }
-            WriteTarget::Pack(parts) => {
-                // MSB-first: the first part takes the top bits.
-                let total: usize = parts.iter().map(|(_, w)| w).sum();
-                let v = value.map1(|x| x.resize(total.max(1), false));
-                let mut hi = total;
-                for (t, w) in parts {
-                    let lo = hi - w;
-                    self.write(t, v.map1(|x| x.slice(lo, w)));
-                    hi = lo;
-                }
-            }
-        }
-    }
-
-    /// Wakes processes whose watches match the pending changes. Whether a
-    /// process wakes is a scheduling decision, so varied changes unify it
-    /// per process — in process-index order, exactly like the scalar loop,
-    /// so the wake order (and thus event order) matches.
-    fn drain_changes(&mut self) {
-        while !self.pending.is_empty() {
-            let changes = std::mem::take(&mut self.pending);
-            // Uniform changes wake every lane identically — one scalar
-            // check per (watch, change) pair, no divergence possible.
-            let all_uniform = changes
-                .iter()
-                .all(|(_, o, n)| o.is_uniform() && n.is_uniform());
-            let mut to_wake = Vec::new();
-            for pi in 0..self.procs.len() {
-                if self.procs[pi].status != LaneStatus::WaitEvent {
-                    continue;
-                }
-                let watches = Arc::clone(&self.procs[pi].watches);
-                let wake = if all_uniform {
-                    let mut hit = false;
-                    'w: for w in watches.iter() {
-                        for (sig, old, new) in &changes {
-                            if w.sig == *sig && wm_lane(w, old, new, 0) {
-                                hit = true;
-                                break 'w;
-                            }
-                        }
-                    }
-                    hit
-                } else {
-                    let mut truth = 0u64;
-                    let mut m = self.active;
-                    while m != 0 {
-                        let l = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        'w: for w in watches.iter() {
-                            for (sig, old, new) in &changes {
-                                if w.sig == *sig && wm_lane(w, old, new, l) {
-                                    truth |= 1u64 << l;
-                                    break 'w;
-                                }
-                            }
-                        }
-                    }
-                    self.decide_mask(truth)
-                };
-                if wake {
-                    to_wake.push(pi);
-                }
-            }
-            for pi in to_wake {
-                self.procs[pi].status = LaneStatus::Ready;
-                self.enqueue(pi);
-            }
-        }
-    }
-
-    // -- expression evaluation ---------------------------------------------
-
-    /// Batched mirror of the scalar register machine. Value-level lane
-    /// differences never diverge the schedule: every instruction is either
-    /// vectorized (the bitwise ops) or lifted per lane with the exact
-    /// scalar kernels, so each lane's value equals its sequential
-    /// counterpart.
-    fn eval_prog(&mut self, prog: &ExprProg) -> PackedBatch {
-        let lanes = self.lanes;
-        let mut regs = std::mem::take(&mut self.scratch);
-        if regs.len() < prog.nregs {
-            regs.resize(prog.nregs, PackedBatch::splat(&PackedVec::default(), lanes));
-        }
-        for ins in prog.instrs.iter() {
-            let (dst, v) = match ins {
-                Instr::Const { dst, v } => (*dst, PackedBatch::splat(v, lanes)),
-                Instr::Load { dst, sig } => (*dst, self.store[*sig].clone()),
-                Instr::LoadBit { dst, sig, off } => (
-                    *dst,
-                    self.store[*sig].map1(|v| PackedVec::from_bit(v.bit(*off))),
-                ),
-                Instr::LoadSlice {
-                    dst,
-                    sig,
-                    lo,
-                    width,
-                } => (*dst, self.store[*sig].map1(|v| v.slice(*lo, *width))),
-                Instr::LoadWordConst { dst, sig, off } => (*dst, self.mems[*sig][*off].clone()),
-                Instr::LoadWord { dst, sig, idx } => {
-                    let def = &self.design.signals[*sig];
-                    let idxv = &regs[*idx];
-                    let mem = &self.mems[*sig];
-                    let v = match idxv.as_uniform() {
-                        Some(u) => match u.to_u64_ext().and_then(|i| def.word_offset(i as i64)) {
-                            Some(off) => mem[off].clone(),
-                            None => PackedBatch::splat(&PackedVec::xs(def.width), lanes),
-                        },
-                        None => PackedBatch::from_fn(lanes, |l| {
-                            match idxv
-                                .lane(l)
-                                .to_u64_ext()
-                                .and_then(|i| def.word_offset(i as i64))
-                            {
-                                Some(off) => mem[off].lane(l),
-                                None => PackedVec::xs(def.width),
-                            }
-                        }),
-                    };
-                    (*dst, v)
-                }
-                Instr::LoadBitDyn { dst, sig, idx } => {
-                    let def = &self.design.signals[*sig];
-                    let idxv = &regs[*idx];
-                    let sv = &self.store[*sig];
-                    let v = match idxv.as_uniform() {
-                        Some(u) => match u.to_u64_ext().and_then(|i| def.bit_offset(i as i64)) {
-                            Some(off) => sv.map1(|x| PackedVec::from_bit(x.bit(off))),
-                            None => PackedBatch::splat(&PackedVec::xs(1), lanes),
-                        },
-                        None => PackedBatch::from_fn(lanes, |l| {
-                            match idxv
-                                .lane(l)
-                                .to_u64_ext()
-                                .and_then(|i| def.bit_offset(i as i64))
-                            {
-                                Some(off) => PackedVec::from_bit(sv.lane_bit(l, off)),
-                                None => PackedVec::xs(1),
-                            }
-                        }),
-                    };
-                    (*dst, v)
-                }
-                Instr::SliceReg { dst, a, lo, width } => {
-                    (*dst, regs[*a].map1(|v| v.slice(*lo, *width)))
-                }
-                Instr::Resize {
-                    dst,
-                    a,
-                    width,
-                    signed,
-                } => (*dst, regs[*a].map1(|v| v.resize(*width, *signed))),
-                Instr::Un { dst, op, a } => {
-                    use UnaryOp::*;
-                    let v = regs[*a].map1(|x| match op {
-                        Plus => x.clone(),
-                        Neg => x.neg(),
-                        LogicNot => x.log_not(),
-                        BitNot => x.bit_not(),
-                        RedAnd => x.reduce_and(false),
-                        RedNand => x.reduce_and(true),
-                        RedOr => x.reduce_or(false),
-                        RedNor => x.reduce_or(true),
-                        RedXor => x.reduce_xor(false),
-                        RedXnor => x.reduce_xor(true),
-                    });
-                    (*dst, v)
-                }
-                Instr::Bin {
-                    dst,
-                    op,
-                    a,
-                    b,
-                    signed,
-                } => (*dst, apply_bin_batch(*op, &regs[*a], &regs[*b], *signed)),
-                Instr::LoadBin {
-                    dst,
-                    sig,
-                    op,
-                    b,
-                    swapped,
-                    signed,
-                } => {
-                    self.fused_hits += 1;
-                    let s = &self.store[*sig];
-                    let v = if *swapped {
-                        apply_bin_batch(*op, &regs[*b], s, *signed)
-                    } else {
-                        apply_bin_batch(*op, s, &regs[*b], *signed)
-                    };
-                    (*dst, v)
-                }
-                Instr::BinImm {
-                    dst,
-                    op,
-                    a,
-                    imm,
-                    swapped,
-                    signed,
-                } => {
-                    self.fused_hits += 1;
-                    let v = if *swapped {
-                        regs[*a].map1(|x| apply_bin(*op, imm, x, *signed))
-                    } else {
-                        regs[*a].map1(|x| apply_bin(*op, x, imm, *signed))
-                    };
-                    (*dst, v)
-                }
-                Instr::Mux { dst, cond, t, f } => {
-                    (*dst, mux_batch(&regs[*cond], &regs[*t], &regs[*f], lanes))
-                }
-                Instr::CmpMux {
-                    dst,
-                    op,
-                    a,
-                    b,
-                    signed,
-                    t,
-                    f,
-                } => {
-                    self.fused_hits += 1;
-                    let cond = apply_bin_batch(*op, &regs[*a], &regs[*b], *signed);
-                    (*dst, mux_batch(&cond, &regs[*t], &regs[*f], lanes))
-                }
-                Instr::Concat { dst, parts } => {
-                    let mut acc = PackedBatch::splat(&PackedVec::default(), lanes);
-                    for r in parts.iter() {
-                        acc = acc.map2(&regs[*r], |a, b| a.concat(b));
-                    }
-                    let v = if acc.width() == 0 {
-                        PackedBatch::splat(&PackedVec::xs(1), lanes)
-                    } else {
-                        acc
-                    };
-                    (*dst, v)
-                }
-                Instr::Repl { dst, parts, count } => {
-                    let mut inner = PackedBatch::splat(&PackedVec::default(), lanes);
-                    for r in parts.iter() {
-                        inner = inner.map2(&regs[*r], |a, b| a.concat(b));
-                    }
-                    let r = inner.map1(|v| v.replicate(*count));
-                    let v = if r.width() == 0 {
-                        PackedBatch::splat(&PackedVec::zeros(1), lanes)
-                    } else {
-                        r
-                    };
-                    (*dst, v)
-                }
-                Instr::Rand { dst } => {
-                    // Per-lane streams: value-level divergence, no unify.
-                    let rand = &mut self.rand;
-                    let v = PackedBatch::from_fn(lanes, |l| {
-                        let mut s = rand[l];
-                        s ^= s << 13;
-                        s ^= s >> 7;
-                        s ^= s << 17;
-                        rand[l] = s;
-                        PackedVec::from_u64(s & 0xFFFF_FFFF, 32)
-                    });
-                    (*dst, v)
-                }
-                Instr::Time { dst } => (
-                    *dst,
-                    PackedBatch::splat(&PackedVec::from_u64(self.time, 64), lanes),
-                ),
-                Instr::Fallback { .. } => {
-                    unreachable!("static scan rejects fallback instructions")
-                }
-            };
-            regs[dst] = v;
-        }
-        let out = std::mem::replace(
-            &mut regs[prog.out],
-            PackedBatch::splat(&PackedVec::default(), lanes),
-        );
-        self.scratch = regs;
-        out
-    }
-
-    // -- system tasks -------------------------------------------------------
-
-    /// Syncs lane `l`'s values, time, and random state into the probe
-    /// simulator so the scalar formatting path sees exactly that lane.
-    fn sync_probe_lane(&mut self, l: usize) {
-        for (id, b) in self.store.iter().enumerate() {
-            self.probe.store[id] = b.lane(l);
-        }
-        for (id, m) in self.mems.iter().enumerate() {
-            for (w, b) in m.iter().enumerate() {
-                self.probe.mems[id][w] = b.lane(l);
-            }
-        }
-        self.probe.time = self.time;
-        self.probe.rand_state.set(self.rand[l]);
-    }
-
-    /// Formats `args` once per active lane through the probe, advancing the
-    /// lane's `$random` stream exactly as a scalar run would.
-    fn format_per_lane(&mut self, args: &[Expr], mut emit: impl FnMut(&mut Self, usize, String)) {
-        let mut m = self.active;
-        while m != 0 {
-            let l = m.trailing_zeros() as usize;
-            m &= m - 1;
-            self.sync_probe_lane(l);
-            let text = self.probe.format_args(args);
-            self.rand[l] = self.probe.rand_state.get();
-            emit(self, l, text);
-        }
-    }
-
-    fn exec_syscall(&mut self, name: &str, args: &[Expr]) {
-        match name {
-            "display" | "write" | "strobe" => {
-                let newline = name != "write";
-                self.format_per_lane(args, |core, l, text| {
-                    core.push_output(l, &text);
-                    if newline {
-                        core.push_output(l, "\n");
-                    }
-                });
-            }
-            "finish" | "stop" => {
-                self.finished = true;
-            }
-            "error" | "warning" | "info" => {
-                if name == "error" {
-                    self.error_count += 1;
-                }
-                let tag = name.to_uppercase();
-                self.format_per_lane(args, |core, l, text| {
-                    core.push_output(l, &format!("[{tag}] {text}\n"));
-                });
-            }
-            "fatal" => {
-                self.error_count += 1;
-                self.format_per_lane(args, |core, l, text| {
-                    core.push_output(l, &format!("[FATAL] {text}\n"));
-                });
-                self.finished = true;
-            }
-            "monitor" => unreachable!("static scan rejects $monitor"),
-            // Waveform / misc directives are accepted and ignored.
-            _ => {}
-        }
-    }
-
-    fn push_output(&mut self, l: usize, s: &str) {
-        // Same cap as the scalar engine's output guard.
-        if self.outputs[l].len() < (1 << 20) {
-            self.outputs[l].push_str(s);
-        }
-    }
-}
-
-/// Per-lane mirror of the scalar watch matcher over batched old/new values.
-fn wm_lane(w: &SensWatch, old: &PackedBatch, new: &PackedBatch, l: usize) -> bool {
-    match w.edge {
-        None => match w.bit {
-            Some(b) => old.lane_bit(l, b) != new.lane_bit(l, b),
-            None => !old.lane_eq(new, l),
-        },
-        Some(edge) => {
-            let b = w.bit.unwrap_or(0);
-            let (o, n) = (old.lane_bit(l, b), new.lane_bit(l, b));
-            match edge {
-                Edge::Pos => {
-                    (o == LogicBit::Zero && n != LogicBit::Zero)
-                        || (o.is_unknown() && n == LogicBit::One)
-                }
-                Edge::Neg => {
-                    (o == LogicBit::One && n != LogicBit::One)
-                        || (o.is_unknown() && n == LogicBit::Zero)
-                }
-            }
-        }
-    }
-}
-
-/// Batched [`apply_bin`]: the four bitwise ops run vectorized over the
-/// interleaved lane words; everything else lifts the scalar kernel per lane
-/// (one call when both operands are uniform).
-fn apply_bin_batch(op: BinaryOp, x: &PackedBatch, y: &PackedBatch, signed: bool) -> PackedBatch {
-    match op {
-        BinaryOp::BitAnd => x.bit_and(y),
-        BinaryOp::BitOr => x.bit_or(y),
-        BinaryOp::BitXor => x.bit_xor(y),
-        BinaryOp::BitXnor => x.bit_xnor(y),
-        _ => x.map2(y, |a, b| apply_bin(op, a, b, signed)),
-    }
-}
-
-/// Batched ternary select: a value operation (both branches are already
-/// evaluated), so per-lane conditions never diverge the schedule.
-fn mux_batch(cond: &PackedBatch, t: &PackedBatch, f: &PackedBatch, lanes: usize) -> PackedBatch {
-    if let (Some(c), Some(tv), Some(fv)) = (cond.as_uniform(), t.as_uniform(), f.as_uniform()) {
-        let v = match c.truthy() {
-            Some(true) => tv.clone(),
-            Some(false) => fv.clone(),
-            None => tv.ternary_merge(fv),
-        };
-        return PackedBatch::splat(&v, lanes);
-    }
-    PackedBatch::from_fn(lanes, |l| match cond.truthy_lane(l) {
-        Some(true) => t.lane(l),
-        Some(false) => f.lane(l),
-        None => t.lane(l).ternary_merge(&f.lane(l)),
-    })
+            let r = sim.run(opts);
+            runs.push((seed, r.clone()));
+            r
+        })
+        .collect()
 }

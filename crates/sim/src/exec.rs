@@ -40,12 +40,6 @@ pub enum EvalMode {
     /// checked against the interpreter by the dual-mode tests).
     #[default]
     Bytecode,
-    /// Batch-vectorized lockstep execution across R same-design runs (see
-    /// [`crate::batch::BatchSim`]). A scalar [`Simulator`] asked to run in
-    /// this mode silently executes single-lane bytecode — the mode only
-    /// changes behaviour for the batch driver, which retires diverged
-    /// lanes back onto the scalar engine.
-    Batch,
 }
 
 /// Limits for one simulation run.
@@ -140,11 +134,11 @@ impl Error for RunError {}
 /// period balances overhead (one atomic load per poll) against detection
 /// latency for slow-burn bodies whose individual statements are
 /// expensive (wide-vector ops run ~µs–ms per statement).
-pub(crate) const WALL_POLL_PERIOD: u64 = 1024;
+const WALL_POLL_PERIOD: u64 = 1024;
 
 #[derive(Debug, Clone)]
 #[allow(clippy::large_enum_variant)]
-pub(crate) enum Task {
+enum Task {
     Exec(Stmt),
     /// Apply a pre-evaluated blocking write (after an intra-assign delay).
     Apply(WriteTarget, PackedVec),
@@ -186,7 +180,7 @@ pub(crate) enum Task {
 
 /// Where a write lands.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum WriteTarget {
+enum WriteTarget {
     Full(SigId),
     Bits(SigId, usize, usize),
     Word(SigId, usize),
@@ -289,7 +283,7 @@ pub struct Simulator {
     /// cannot retain capacity across inserts, but their `Vec` payloads can.
     bucket_pool: Vec<Vec<FutureEvent>>,
     /// Fused superinstructions executed (reported to dda-obs per run).
-    pub(crate) fused_hits: u64,
+    fused_hits: u64,
     vcd: Option<crate::vcd::VcdRecorder>,
 }
 
@@ -481,14 +475,7 @@ impl Simulator {
 
     fn start(&mut self, mode: EvalMode) {
         self.started = true;
-        // A scalar simulator asked for batch mode runs plain bytecode: the
-        // batch driver owns lane orchestration, and its retired lanes land
-        // here expecting bytecode semantics.
-        self.mode = if mode == EvalMode::Batch {
-            EvalMode::Bytecode
-        } else {
-            mode
-        };
+        self.mode = mode;
         if self.mode == EvalMode::Bytecode {
             let compiled = self.design.compiled();
             self.scratch.clear();
@@ -535,7 +522,7 @@ impl Simulator {
         if dda_obs::enabled() {
             dda_obs::count(
                 match self.mode {
-                    EvalMode::Bytecode | EvalMode::Batch => "sim.run.bytecode",
+                    EvalMode::Bytecode => "sim.run.bytecode",
                     EvalMode::Ast => "sim.run.ast",
                 },
                 1,
@@ -690,7 +677,7 @@ impl Simulator {
                     return Ok(());
                 }
                 let task = match self.mode {
-                    EvalMode::Bytecode | EvalMode::Batch => {
+                    EvalMode::Bytecode => {
                         let body = self
                             .compiled
                             .as_ref()
@@ -1480,7 +1467,7 @@ impl Simulator {
         }
     }
 
-    pub(crate) fn format_args(&self, args: &[Expr]) -> String {
+    fn format_args(&self, args: &[Expr]) -> String {
         let mut out = String::new();
         if args.is_empty() {
             return out;
@@ -1574,7 +1561,7 @@ impl Simulator {
 
     /// Resolves an lvalue expression to a write target, evaluating index
     /// expressions with current values.
-    pub(crate) fn resolve_target(&self, lhs: &Expr) -> WriteTarget {
+    fn resolve_target(&self, lhs: &Expr) -> WriteTarget {
         match lhs {
             Expr::Ident(i) => match self.design.index.get(&i.name) {
                 Some(id) => WriteTarget::Full(*id),
@@ -1675,7 +1662,7 @@ impl Simulator {
     }
 
     /// Applies a write, recording value changes for event wake-up.
-    pub(crate) fn write(&mut self, target: WriteTarget, value: PackedVec) {
+    fn write(&mut self, target: WriteTarget, value: PackedVec) {
         match target {
             WriteTarget::Void => {}
             WriteTarget::Full(id) => {
@@ -1729,7 +1716,7 @@ impl Simulator {
     }
 
     /// Wakes processes whose watches match the pending changes.
-    pub(crate) fn drain_changes(&mut self) {
+    fn drain_changes(&mut self) {
         while !self.pending.is_empty() {
             let changes = std::mem::take(&mut self.pending);
             let mut to_wake = Vec::new();
@@ -1758,9 +1745,8 @@ impl Simulator {
 }
 
 /// Applies a compiled binary operator exactly as the bytecode engine does
-/// (shared by the scalar `Bin` arm, the fused superinstructions, and the
-/// batch engine's per-lane lifts).
-pub(crate) fn apply_bin(op: BinaryOp, x: &PackedVec, y: &PackedVec, signed: bool) -> PackedVec {
+/// (shared by the `Bin` arm and the fused superinstructions).
+fn apply_bin(op: BinaryOp, x: &PackedVec, y: &PackedVec, signed: bool) -> PackedVec {
     use BinaryOp::*;
     match op {
         Add => x.add(y),
@@ -1792,67 +1778,6 @@ pub(crate) fn apply_bin(op: BinaryOp, x: &PackedVec, y: &PackedVec, signed: bool
         BitXnor => x.bit_xnor(y),
         LogicAnd => x.log_and(y),
         LogicOr => x.log_or(y),
-    }
-}
-
-/// Initial scheduling configuration of one process, as [`Simulator`]'s
-/// `make_proc` derives it — shared with the batch driver so lane processes
-/// arm identically to scalar ones.
-pub(crate) struct ProcSeed {
-    pub(crate) ready: bool,
-    pub(crate) watches: Arc<[SensWatch]>,
-    pub(crate) rearm: Option<Arc<[SensWatch]>>,
-    pub(crate) free_running: bool,
-    pub(crate) is_initial: bool,
-    pub(crate) is_continuous: bool,
-}
-
-pub(crate) fn proc_seed(p: &Process, design: &Design) -> ProcSeed {
-    match &p.kind {
-        ProcessKind::Initial => ProcSeed {
-            ready: true,
-            watches: Vec::new().into(),
-            rearm: None,
-            free_running: false,
-            is_initial: true,
-            is_continuous: false,
-        },
-        ProcessKind::Always(sens) => {
-            let watches: Arc<[SensWatch]> = compile_sens(sens, design).into();
-            let free_running = watches.is_empty();
-            ProcSeed {
-                ready: free_running,
-                watches: Arc::clone(&watches),
-                rearm: Some(watches),
-                free_running,
-                is_initial: false,
-                is_continuous: false,
-            }
-        }
-        ProcessKind::Continuous { lhs, rhs } => {
-            let mut reads = Vec::new();
-            collect_expr_reads(rhs, &mut reads);
-            collect_lhs_index_reads(lhs, &mut reads);
-            let watches: Arc<[SensWatch]> = reads
-                .iter()
-                .filter_map(|n| {
-                    design.index.get(n).map(|id| SensWatch {
-                        sig: *id,
-                        bit: None,
-                        edge: None,
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into();
-            ProcSeed {
-                ready: true,
-                watches: Arc::clone(&watches),
-                rearm: Some(watches),
-                free_running: false,
-                is_initial: false,
-                is_continuous: true,
-            }
-        }
     }
 }
 
@@ -1934,7 +1859,7 @@ impl SimArena {
     }
 }
 
-pub(crate) fn watch_matches(w: &SensWatch, old: &PackedVec, new: &PackedVec) -> bool {
+fn watch_matches(w: &SensWatch, old: &PackedVec, new: &PackedVec) -> bool {
     match w.edge {
         None => {
             if let Some(b) = w.bit {
@@ -1960,7 +1885,7 @@ pub(crate) fn watch_matches(w: &SensWatch, old: &PackedVec, new: &PackedVec) -> 
     }
 }
 
-pub(crate) fn target_width(t: &WriteTarget, design: &Design) -> usize {
+fn target_width(t: &WriteTarget, design: &Design) -> usize {
     match t {
         WriteTarget::Void => 0,
         WriteTarget::Full(id) | WriteTarget::Word(id, _) => design.signals[*id].width,

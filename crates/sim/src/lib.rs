@@ -14,7 +14,8 @@
 //! Supporting modules: [`cache`] memoises elaborated designs across
 //! repeated testbench runs (its hit/miss counts feed `dda-obs`), [`ops`]
 //! holds the word-packed four-state value kernels, and [`vcd`] dumps
-//! waveforms for debugging.
+//! waveforms for debugging. [`run_batch`] runs one design on several
+//! `$random` seeds, once per distinct seed.
 //!
 //! ## Example
 //!
@@ -45,7 +46,7 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
+mod batch;
 pub mod cache;
 mod compile;
 pub mod elab;
@@ -54,9 +55,8 @@ mod exec;
 pub mod ops;
 pub mod vcd;
 
-pub use batch::{run_batch, BatchReport, BatchSim};
+pub use batch::{run_batch, MAX_BATCH_LANES};
 pub use compile::{fusion_enabled, set_fusion};
-pub use dda_verilog::MAX_BATCH_LANES;
 pub use elab::{elaborate, Design, ElabError, Process, ProcessKind, SigId, SignalDef};
 pub use exec::{EvalMode, RunError, RunErrorKind, SimArena, SimOptions, SimResult, Simulator};
 pub use vcd::VcdRecorder;

@@ -1,15 +1,14 @@
-//! Batch-engine equivalence: every lane of a [`run_batch`] sweep must
+//! Multi-lane equivalence: every lane of a [`run_batch`] sweep must
 //! produce a [`SimResult`] (or [`RunError`]) bit-identical to running the
 //! same seed on a fresh scalar bytecode simulator with the same options.
-//! The battery covers the uniform fast path (deterministic testbenches),
-//! value-only divergence (`$random` without control flow), forced schedule
-//! divergence (branches, case selects, delays, and dynamic indices driven
-//! by per-lane random draws), per-lane budget/timeout behaviour, and the
-//! static-scan fallback (`$monitor`).
+//! The battery covers deterministic testbenches, `$random` values,
+//! branches, case selects, delays and dynamic indices driven by per-lane
+//! random draws, repeated seeds within one batch, per-lane budget and
+//! timeout behaviour, and `$monitor`.
 
 use dda_sim::{
-    elaborate, run_batch, BatchSim, Design, EvalMode, RunError, RunErrorKind, SimOptions,
-    SimResult, Simulator,
+    elaborate, run_batch, Design, EvalMode, RunError, RunErrorKind, SimOptions, SimResult,
+    Simulator,
 };
 
 fn design(src: &str, top: &str) -> Design {
@@ -28,18 +27,15 @@ fn scalar(design: &Design, seed: Option<u64>, opts: &SimOptions) -> Result<SimRe
     sim.run(&o)
 }
 
-/// Asserts every lane of a batched run equals its sequential counterpart;
-/// returns the number of retired (diverged) lanes for shape assertions.
-fn assert_equiv(src: &str, top: &str, seeds: &[Option<u64>], opts: &SimOptions) -> usize {
+/// Asserts every lane of a batched run equals its sequential counterpart.
+fn assert_equiv(src: &str, top: &str, seeds: &[Option<u64>], opts: &SimOptions) {
     let d = design(src, top);
-    let mut batch = BatchSim::new(d.clone(), seeds.to_vec());
-    let got = batch.run(opts);
+    let got = run_batch(&d, seeds, opts);
     assert_eq!(got.len(), seeds.len());
     for (l, (seed, got)) in seeds.iter().zip(&got).enumerate() {
         let want = scalar(&d, *seed, opts);
         assert_eq!(&want, got, "lane {l} (seed {seed:?}) diverged on:\n{src}");
     }
-    batch.report().diverged
 }
 
 /// Seeds exercised for every source: R = 1, 4, and 8 with a mix of seeded
@@ -62,17 +58,14 @@ fn equiv_all(src: &str, top: &str) {
 }
 
 #[test]
-fn deterministic_testbench_stays_in_lockstep() {
+fn deterministic_testbench_matches_every_lane() {
     let src = "module tb;\n\
          reg clk = 0; reg [7:0] n = 0;\n\
          always #5 clk = ~clk;\n\
          always @(posedge clk) n <= n + 1;\n\
          initial begin #52 $display(\"n=%0d t=%0t\", n, $time); $finish; end\n\
          endmodule";
-    for seeds in seed_sets() {
-        let diverged = assert_equiv(src, "tb", &seeds, &SimOptions::default());
-        assert_eq!(diverged, 0, "no $random, nothing can diverge");
-    }
+    equiv_all(src, "tb");
 }
 
 #[test]
@@ -137,9 +130,8 @@ fn memories_dynamic_indexing_and_loops() {
 }
 
 #[test]
-fn random_values_without_branching_stay_in_lockstep() {
-    // Lanes draw different values but never branch on them: pure value
-    // divergence, handled by per-lane storage with zero retirements.
+fn random_values_per_lane() {
+    // Lanes draw different values but never branch on them.
     let src = "module tb;\n\
          integer i; reg [31:0] r; reg [31:0] acc = 0;\n\
          initial begin\n\
@@ -152,14 +144,11 @@ fn random_values_without_branching_stay_in_lockstep() {
            $finish;\n\
          end\n\
          endmodule";
-    for seeds in seed_sets() {
-        let diverged = assert_equiv(src, "tb", &seeds, &SimOptions::default());
-        assert_eq!(diverged, 0, "value-only divergence must not retire lanes");
-    }
+    equiv_all(src, "tb");
 }
 
 #[test]
-fn branch_on_random_retires_disagreeing_lanes() {
+fn branch_on_random_per_lane() {
     let src = "module tb;\n\
          reg [31:0] r;\n\
          initial begin\n\
@@ -169,16 +158,12 @@ fn branch_on_random_retires_disagreeing_lanes() {
            $finish;\n\
          end\n\
          endmodule";
-    for seeds in seed_sets() {
-        assert_equiv(src, "tb", &seeds, &SimOptions::default());
-    }
-    // A single-lane batch can never diverge: the leader always survives.
-    let diverged = assert_equiv(src, "tb", &[Some(42)], &SimOptions::default());
-    assert_eq!(diverged, 0);
+    equiv_all(src, "tb");
+    assert_equiv(src, "tb", &[Some(42)], &SimOptions::default());
 }
 
 #[test]
-fn case_select_on_random_unifies_or_retires() {
+fn case_select_on_random_per_lane() {
     equiv_all(
         "module tb;\n\
          reg [31:0] r; reg [7:0] out;\n\
@@ -198,7 +183,7 @@ fn case_select_on_random_unifies_or_retires() {
 }
 
 #[test]
-fn random_delay_and_dynamic_write_divergence() {
+fn random_delay_and_dynamic_write_per_lane() {
     equiv_all(
         "module tb;\n\
          reg [31:0] r; reg [7:0] mem [0:3];\n\
@@ -284,34 +269,23 @@ fn cancelled_token_times_out_every_lane() {
 }
 
 #[test]
-fn monitor_design_falls_back_to_scalar() {
+fn monitor_design_matches_every_lane() {
     let src = "module tb;\n\
          reg [3:0] v = 0;\n\
          initial $monitor(\"v=%0d\", v);\n\
          initial begin #1 v = 3; #1 v = 9; $error(\"boom %0d\", v); #1 $finish; end\n\
          endmodule";
-    let d = design(src, "tb");
-    let seeds = [None, Some(5), Some(6)];
-    let mut batch = BatchSim::new(d.clone(), seeds.to_vec());
-    let got = batch.run(&SimOptions::default());
-    assert!(batch.report().unsupported, "$monitor must reject lockstep");
-    assert_eq!(batch.report().lockstep_completed, 0);
-    for (seed, got) in seeds.iter().zip(&got) {
-        let want = scalar(&d, *seed, &SimOptions::default());
-        assert_eq!(&want, got);
-    }
+    assert_equiv(src, "tb", &[None, Some(5), Some(6)], &SimOptions::default());
 }
 
 #[test]
 fn empty_batch_returns_no_results() {
     let d = design("module tb; initial $finish; endmodule", "tb");
-    let mut batch = BatchSim::new(d, Vec::new());
-    assert!(batch.run(&SimOptions::default()).is_empty());
-    assert_eq!(batch.report().lanes, 0);
+    assert!(run_batch(&d, &[], &SimOptions::default()).is_empty());
 }
 
 #[test]
-fn report_accounts_for_every_lane() {
+fn repeated_seeds_share_one_result() {
     let src = "module tb;\n\
          reg [31:0] r;\n\
          initial begin\n\
@@ -321,15 +295,6 @@ fn report_accounts_for_every_lane() {
            $finish;\n\
          end\n\
          endmodule";
-    let d = design(src, "tb");
-    let seeds: Vec<Option<u64>> = (0..8).map(|i| Some(i * 17 + 1)).collect();
-    let mut batch = BatchSim::new(d.clone(), seeds.clone());
-    let got = batch.run(&SimOptions::default());
-    let rep = batch.report().clone();
-    assert_eq!(rep.lanes, 8);
-    assert!(!rep.unsupported);
-    assert_eq!(rep.lockstep_completed + rep.diverged, 8);
-    for (seed, got) in seeds.iter().zip(&got) {
-        assert_eq!(&scalar(&d, *seed, &SimOptions::default()), got);
-    }
+    let seeds: Vec<Option<u64>> = (0..8).map(|i| Some(i % 3 * 17 + 1)).collect();
+    assert_equiv(src, "tb", &seeds, &SimOptions::default());
 }

@@ -3,8 +3,13 @@
 //! for arbitrary four-state inputs at widths spanning the 64-bit word
 //! boundaries (1..200 covers one, two, and four-word vectors plus the
 //! partial top word).
+//!
+//! The last test is the compile-level differential: bytecode compiled with
+//! the fusion peepholes off must equal the fused build. It is the only
+//! test in this binary that simulates, so the process-global `dda-obs`
+//! recorder counts its runs alone.
 
-use dda_sim::ops;
+use dda_sim::{elaborate, fusion_enabled, ops, set_fusion, SimOptions, SimResult, Simulator};
 use dda_verilog::{LogicBit, LogicVec, PackedVec};
 use proptest::prelude::*;
 
@@ -240,135 +245,63 @@ proptest! {
     }
 }
 
-// ---------------------------------------------------------------------------
-// PackedBatch lane operations vs. the scalar PackedVec reference
-// ---------------------------------------------------------------------------
+/// Deterministic clocked fixture whose expressions hit all three fusion
+/// peepholes: a comparison feeding a ternary (compare+select), signal
+/// loads feeding adds (load+bin), and constant addends (const+bin).
+const FUSABLE_SRC: &str = "module tb;\n\
+     reg clk = 0; reg [7:0] a = 3, b = 7; reg [15:0] acc = 0;\n\
+     always #5 clk = ~clk;\n\
+     always @(posedge clk) begin\n\
+       acc <= acc + ((a < b) ? {8'd0, a} : {8'd0, b}) + 16'd3;\n\
+       a <= a + 8'd5;\n\
+       b <= b + 8'd1;\n\
+     end\n\
+     initial begin #105 $display(\"acc=%0d a=%0d b=%0d\", acc, a, b); $finish; end\n\
+     endmodule";
 
-use dda_verilog::PackedBatch;
+/// Elaborates and runs the fixture fresh, so it compiles under the
+/// current fusion setting.
+fn run_fusable() -> SimResult {
+    let sf = dda_verilog::parse(FUSABLE_SRC).expect("parses");
+    let design = elaborate(&sf, "tb").expect("elaborates");
+    Simulator::from_design(design)
+        .run(&SimOptions::default())
+        .expect("runs")
+}
 
-/// Per-lane four-state patterns: a shared width spanning the 64-bit word
-/// boundaries (1..200) and R ∈ {1, 4, 8} lanes. Equal-lane draws happen
-/// often enough at width 1 to exercise the uniform-collapse path too.
-#[derive(Debug, Clone, Copy)]
-struct LanePatterns;
-
-impl Strategy for LanePatterns {
-    type Value = Vec<Vec<u8>>;
-    fn generate(&self, rng: &mut proptest::TestRng) -> Vec<Vec<u8>> {
-        let w = 1 + rng.below(199);
-        let r = [1usize, 4, 8][rng.below(3)];
-        (0..r)
-            .map(|_| (0..w).map(|_| rng.below(4) as u8).collect())
-            .collect()
+/// Restores fusion even when an assertion in the test body fails, so a
+/// red test can't leak a fusion-off compiler into the other tests.
+struct FusionOn;
+impl Drop for FusionOn {
+    fn drop(&mut self) {
+        set_fusion(true);
     }
 }
 
-fn lane_patterns() -> LanePatterns {
-    LanePatterns
-}
+/// The fusion switch itself: a design compiled with fusion off must
+/// produce a bit-identical result with zero fused hits, and the switch is
+/// consulted at compile time (fresh designs per setting).
+#[test]
+fn fusion_off_is_equivalent_and_records_no_hits() {
+    dda_obs::reset();
+    dda_obs::enable();
+    assert!(fusion_enabled(), "fusion ships enabled");
 
-/// A scalar two-operand kernel the batch ops are checked against.
-type BinaryKernel = fn(&PackedVec, &PackedVec) -> PackedVec;
+    let fused = run_fusable();
+    let fused_snap = dda_obs::snapshot();
+    assert!(fused_snap.counter("sim.fused.hits") > 0);
 
-/// Batch + the per-lane scalar reference vectors it was built from.
-fn batch_of(lanes: &[Vec<u8>]) -> (PackedBatch, Vec<PackedVec>) {
-    let scalars: Vec<PackedVec> = lanes.iter().map(|l| pv(l)).collect();
-    (PackedBatch::from_lanes(&scalars), scalars)
-}
-
-proptest! {
-    /// from_lanes -> lane is the identity, and all-equal lanes collapse to
-    /// the uniform representation.
-    #[test]
-    fn batch_lane_round_trip(lanes in lane_patterns()) {
-        let (b, scalars) = batch_of(&lanes);
-        prop_assert_eq!(b.lanes(), scalars.len());
-        prop_assert_eq!(b.width(), scalars[0].width());
-        for (l, s) in scalars.iter().enumerate() {
-            prop_assert_eq!(&b.lane(l), s, "lane {}", l);
-            prop_assert!(b.lane_eq(&b, l));
-        }
-        let all_equal = scalars.iter().all(|s| *s == scalars[0]);
-        prop_assert_eq!(b.is_uniform(), all_equal);
-        let splat = PackedBatch::splat(&scalars[0], scalars.len());
-        prop_assert!(splat.is_uniform());
-        prop_assert_eq!(splat.lane(scalars.len() - 1), scalars[0].clone());
-    }
-
-    /// lane_bit matches the scalar bit read at every index, including past
-    /// the width (x fill) and at the lane-boundary words.
-    #[test]
-    fn batch_lane_bit_matches(lanes in lane_patterns()) {
-        let (b, scalars) = batch_of(&lanes);
-        let w = b.width();
-        for (l, s) in scalars.iter().enumerate() {
-            for i in [0, 1, 63, 64, 65, 127, 128, w - 1, w, w + 7] {
-                prop_assert_eq!(b.lane_bit(l, i), s.bit(i), "lane {} bit {}", l, i);
-            }
-            prop_assert_eq!(b.truthy_lane(l), s.truthy(), "lane {}", l);
-        }
-    }
-
-    /// The vectorized bitwise ops equal the scalar kernel applied per lane;
-    /// map2 lifts any scalar kernel faithfully.
-    #[test]
-    fn batch_bitwise_matches(a in lane_patterns()) {
-        // Second operand: lanes reversed, so uniform/varied combinations
-        // and per-lane x/z mixtures both occur.
-        let (ba, sa) = batch_of(&a);
-        let rev: Vec<Vec<u8>> = a.iter().rev().cloned().collect();
-        let (bb, sb) = batch_of(&rev);
-        let cases: [(&str, PackedBatch, BinaryKernel); 4] = [
-            ("and", ba.bit_and(&bb), PackedVec::bit_and),
-            ("or", ba.bit_or(&bb), PackedVec::bit_or),
-            ("xor", ba.bit_xor(&bb), PackedVec::bit_xor),
-            ("xnor", ba.bit_xnor(&bb), PackedVec::bit_xnor),
-        ];
-        for (name, got, f) in cases {
-            for l in 0..sa.len() {
-                prop_assert_eq!(got.lane(l), f(&sa[l], &sb[l]), "{} lane {}", name, l);
-            }
-        }
-        let mapped = ba.map2(&bb, |x, y| x.add(y));
-        for l in 0..sa.len() {
-            prop_assert_eq!(mapped.lane(l), sa[l].add(&sb[l]), "map2 add lane {}", l);
-        }
-        let negged = ba.map1(|x| x.neg());
-        for (l, s) in sa.iter().enumerate() {
-            prop_assert_eq!(negged.lane(l), s.neg(), "map1 neg lane {}", l);
-        }
-    }
-
-    /// ne_mask has exactly the bits of the lanes whose values differ.
-    #[test]
-    fn batch_ne_mask_matches(a in lane_patterns()) {
-        let (ba, sa) = batch_of(&a);
-        let rev: Vec<Vec<u8>> = a.iter().rev().cloned().collect();
-        let (bb, sb) = batch_of(&rev);
-        let mask = ba.ne_mask(&bb);
-        for l in 0..sa.len() {
-            prop_assert_eq!(mask & (1u64 << l) != 0, sa[l] != sb[l], "lane {}", l);
-            prop_assert_eq!(ba.lane_eq(&bb, l), sa[l] == sb[l], "lane_eq {}", l);
-        }
-        prop_assert_eq!(ba.ne_mask(&ba), 0);
-    }
-
-    /// set_range_batch equals the scalar set_range applied per lane, for
-    /// in-range, boundary-straddling, and fully out-of-range windows.
-    #[test]
-    fn batch_set_range_matches(a in lane_patterns(), src in lane_patterns(), lo in 0usize..220) {
-        let (ba, sa) = batch_of(&a);
-        // Align the source batch to the destination's lane count.
-        let lanes = sa.len();
-        let src_scalars: Vec<PackedVec> = (0..lanes).map(|l| pv(&src[l % src.len()])).collect();
-        let bsrc = PackedBatch::from_lanes(&src_scalars);
-        let w = bsrc.width();
-        let mut got = ba.clone();
-        got.set_range_batch(lo, w, &bsrc);
-        for l in 0..lanes {
-            let mut want = sa[l].clone();
-            want.set_range(lo, w, &src_scalars[l]);
-            prop_assert_eq!(got.lane(l), want, "lane {} lo {} w {}", l, lo, w);
-        }
-    }
+    dda_obs::reset();
+    dda_obs::enable();
+    set_fusion(false);
+    let _restore = FusionOn;
+    let plain = run_fusable();
+    let plain_snap = dda_obs::snapshot();
+    assert_eq!(
+        plain_snap.counter("sim.fused.hits"),
+        0,
+        "fusion-off compile must emit no superinstructions"
+    );
+    assert_eq!(plain, fused, "fusion changed observable behaviour");
+    dda_obs::disable();
 }

@@ -40,6 +40,6 @@ pub mod visit;
 
 pub use ast::{Expr, Item, Module, SourceFile, Stmt};
 pub use lexer::lex;
-pub use logic::{LogicBit, LogicVec, PackedBatch, PackedVec, MAX_BATCH_LANES};
+pub use logic::{LogicBit, LogicVec, PackedVec};
 pub use parser::{parse, parse_expr, ParseError};
 pub use token::{Span, Token, TokenKind};

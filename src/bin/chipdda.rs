@@ -98,8 +98,8 @@ call verbs (all take --socket PATH, optional --priority high, --deadline-ms N):
   generate --prompt TEXT [--instruct TEXT] [--temperature T] [--seed N]
   repair <file.v> [--budget N]
   score <file.v> (--problem ID | --testbench <tb.v> [--top NAME]) [--runs R]
-                       --runs R scores R identical lanes in one batched
-                       simulation (1-64; results match scalar scoring)
+                       --runs R (1-64) is echoed as the lane count; every
+                       lane has the same verdict, computed once
   retrieve --query TEXT [-k N]  k nearest corpus modules from the resident
                        sharded index, as JSONL (best first; default k 5)
   agent --problem ID [--level L] [-k N] [--rounds N] [--early-exit]
