@@ -40,6 +40,7 @@
 //! modeled call, outcomes never change, and the parallel batch earns its
 //! speedup the same way it would in production — by overlapping waits.
 
+use crate::fnv1a;
 use crate::generation::{
     run_testbench, run_testbench_verdict_with, testbench_sim_options, TestbenchVerdict,
 };
@@ -139,7 +140,10 @@ pub fn agent_episode(
         temperature: protocol.temperature,
     };
     let mut rng = SmallRng::seed_from_u64(
-        protocol.seed ^ fnv(problem.id) ^ ((level as u64) << 40) ^ fnv(&model.profile().name),
+        protocol.seed
+            ^ fnv1a(problem.id.bytes())
+            ^ ((level as u64) << 40)
+            ^ fnv1a(model.profile().name.bytes()),
     );
     // Draft and redraft sample one plan: the retrieval runs once.
     let draft = model.prompt(ALIGN_INSTRUCT, &problem.prompts[level], &[]);
@@ -214,15 +218,6 @@ pub fn agent_vs_single(
         agent_ok as f64 / n,
         iters as f64 / episodes.max(1) as f64,
     )
-}
-
-fn fnv(s: &str) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Options for one pass@k agent batch ([`agent_batch`] and its
@@ -336,9 +331,9 @@ fn chain_seed(
     chain: usize,
 ) -> u64 {
     protocol.seed
-        ^ fnv(problem.id)
+        ^ fnv1a(problem.id.bytes())
         ^ ((level as u64) << 40)
-        ^ fnv(&model.profile().name)
+        ^ fnv1a(model.profile().name.bytes())
         ^ (chain as u64).wrapping_mul(0x9e3779b97f4a7c15)
 }
 
@@ -469,7 +464,7 @@ fn run_chain(
                 .u64("level", level as u64)
                 .u64("chain", chain as u64)
                 .u64("round", rounds as u64)
-                .str("candidate", format!("{:016x}", fnv(&candidate)))
+                .str("candidate", format!("{:016x}", fnv1a(candidate.bytes())))
                 .bool("lint", lint_clean)
                 .f64("function", function);
             if let Some(v) = &verdict {

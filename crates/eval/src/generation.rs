@@ -13,6 +13,7 @@
 //! over distinct sources equals the best rate over all copies (DESIGN.md
 //! §5o).
 
+use crate::fnv1a;
 use dda_benchmarks::{parse_result, VerilogProblem};
 use dda_core::align::ALIGN_INSTRUCT;
 use dda_runtime::CancelToken;
@@ -297,22 +298,13 @@ pub fn cell_samples(
                     .seed
                     .wrapping_mul(1_000_003)
                     .wrapping_add((level as u64) << 32)
-                    .wrapping_add(hash_id(problem.id))
-                    .wrapping_add(hash_id(&model.profile().name))
+                    .wrapping_add(fnv1a(problem.id.bytes()))
+                    .wrapping_add(fnv1a(model.profile().name.bytes()))
                     .wrapping_add(i as u64),
             );
             plan.generate(&opts, &mut rng)
         })
         .collect()
-}
-
-fn hash_id(id: &str) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in id.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Evaluates a model over a whole suite.

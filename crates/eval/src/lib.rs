@@ -67,3 +67,11 @@ pub use script_eval::{eval_script, eval_script_suite, ScriptCell, ScriptProtocol
 pub use supervised::{
     eval_repair_suite_supervised, eval_script_suite_supervised, eval_suite_supervised, SweepOptions,
 };
+
+/// FNV-1a (64-bit) over `bytes`: the stable hash that seeds per-problem and
+/// per-model RNG streams and names candidates in trace events.
+pub(crate) fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf29ce484222325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x100000001b3)
+    })
+}

@@ -8,6 +8,7 @@
 //! problem's testbench. As in Table 5, each distinct repair is linted and
 //! simulated once per cell (DESIGN.md §5o).
 
+use crate::fnv1a;
 use crate::generation::{score_samples, testbench_sim_options};
 use dda_benchmarks::VerilogProblem;
 use dda_core::repair::{break_verilog, RepairOptions, REPAIR_INSTRUCT};
@@ -64,7 +65,7 @@ impl Default for RepairProtocol {
 /// Returns `(input_text, wrong_source)`. The injection is retried until the
 /// broken file actually fails the checker, so every repair case is real.
 pub fn broken_input(problem: &VerilogProblem, protocol: &RepairProtocol) -> (String, String) {
-    let mut rng = SmallRng::seed_from_u64(protocol.seed ^ hash_id(problem.id));
+    let mut rng = SmallRng::seed_from_u64(protocol.seed ^ fnv1a(problem.id.bytes()));
     let opts = RepairOptions {
         max_mutations: protocol.max_mutations,
     };
@@ -83,15 +84,6 @@ pub fn broken_input(problem: &VerilogProblem, protocol: &RepairProtocol) -> (Str
     let wrong = problem.reference.replacen(';', "", 1);
     let report = dda_lint::check_source(&format!("{}.v", problem.id), &wrong);
     (format!("{}, {}", report.render().trim_end(), wrong), wrong)
-}
-
-fn hash_id(id: &str) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in id.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Evaluates one model on one problem.
@@ -170,8 +162,8 @@ pub fn repair_samples(
         .map(|i| {
             let mut rng = SmallRng::seed_from_u64(
                 protocol.seed.wrapping_add(77 + i as u64)
-                    ^ hash_id(problem.id)
-                    ^ hash_id(&model.profile().name).rotate_left(17),
+                    ^ fnv1a(problem.id.bytes())
+                    ^ fnv1a(model.profile().name.bytes()).rotate_left(17),
             );
             plan.generate(&opts, &mut rng)
         })

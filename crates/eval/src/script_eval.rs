@@ -5,6 +5,7 @@
 //! first syntactically valid script appeared (`syn`) and the first
 //! functionally correct one (`func`). `None` renders as `>10`.
 
+use crate::fnv1a;
 use dda_benchmarks::ScTask;
 use dda_core::edascript::EDA_INSTRUCT;
 use dda_slm::{GenOptions, Slm};
@@ -55,16 +56,12 @@ pub fn eval_script(model: &Slm, task: &ScTask, protocol: &ScriptProtocol) -> Scr
     let mut syn_iter = None;
     let mut func_iter = None;
     for i in 0..protocol.max_iters {
-        let mut h = 0xcbf29ce484222325u64;
-        for b in task
-            .level
-            .label()
-            .bytes()
-            .chain(model.profile().name.bytes())
-        {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
+        let h = fnv1a(
+            task.level
+                .label()
+                .bytes()
+                .chain(model.profile().name.bytes()),
+        );
         let mut rng =
             SmallRng::seed_from_u64(protocol.seed.wrapping_mul(7919) ^ h.wrapping_add(i as u64));
         let out = plan.generate(&opts, &mut rng);

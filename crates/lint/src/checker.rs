@@ -9,7 +9,7 @@
 use crate::diagnostic::{DiagKind, Diagnostic, LintReport, Severity};
 use dda_verilog::ast::*;
 use dda_verilog::consteval::{eval_const, range_width};
-use dda_verilog::parser::parse;
+use dda_verilog::parser::{parse, ParseError};
 use dda_verilog::visit::{walk_expr, Visitor};
 use dda_verilog::Expr;
 use std::collections::HashMap;
@@ -24,19 +24,21 @@ use std::collections::HashMap;
 /// assert!(report.is_clean());
 /// ```
 pub fn check_source(file_name: &str, src: &str) -> LintReport {
+    match parse(src) {
+        Ok(sf) => check_file(file_name, &sf),
+        Err(e) => syntax_error(file_name, &e),
+    }
+}
+
+/// The report for a file whose parse stopped at `e`: one syntax error.
+pub(crate) fn syntax_error(file_name: &str, e: &ParseError) -> LintReport {
     let mut report = LintReport::new(file_name);
-    let sf = match parse(src) {
-        Ok(sf) => sf,
-        Err(e) => {
-            report.diagnostics.push(Diagnostic::error(
-                DiagKind::SyntaxError,
-                format!("syntax error, unexpected '{}'", e.found),
-                e.span,
-            ));
-            return report;
-        }
-    };
-    check_file(file_name, &sf)
+    report.diagnostics.push(Diagnostic::error(
+        DiagKind::SyntaxError,
+        format!("syntax error, unexpected '{}'", e.found),
+        e.span,
+    ));
+    report
 }
 
 /// Lints an already-parsed file.

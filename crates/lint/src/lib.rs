@@ -26,6 +26,8 @@
 
 mod checker;
 mod diagnostic;
+mod edit;
 
 pub use checker::{check_file, check_source};
 pub use diagnostic::{DiagKind, Diagnostic, LintReport, Severity};
+pub use edit::EditBase;

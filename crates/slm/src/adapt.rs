@@ -239,8 +239,8 @@ pub fn rename_idents(source: &str, map: &HashMap<String, String>) -> String {
     for t in &tokens {
         out.push_str(&source[pos..t.span.start]);
         match &t.kind {
-            TokenKind::Ident(name) if map.contains_key(name) => {
-                out.push_str(&map[name]);
+            TokenKind::Ident(name) if map.contains_key(*name) => {
+                out.push_str(&map[*name]);
             }
             _ => out.push_str(&source[t.span.start..t.span.end]),
         }

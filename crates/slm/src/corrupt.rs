@@ -31,10 +31,10 @@ fn corrupt_once<R: Rng + ?Sized>(source: &str, rng: &mut R) -> Option<String> {
     if tokens.len() < 3 {
         return None;
     }
-    let idents: Vec<String> = tokens
+    let idents: Vec<&str> = tokens
         .iter()
-        .filter_map(|t| match &t.kind {
-            TokenKind::Ident(s) => Some(s.clone()),
+        .filter_map(|t| match t.kind {
+            TokenKind::Ident(s) => Some(s),
             _ => None,
         })
         .collect();
@@ -48,7 +48,7 @@ fn corrupt_once<R: Rng + ?Sized>(source: &str, rng: &mut R) -> Option<String> {
         1 => format!("{} {}", &source[start..end], &source[start..end]),
         // Replace an identifier with another from the same file.
         2 => match (&t.kind, idents.len()) {
-            (TokenKind::Ident(_), n) if n > 1 => idents[rng.gen_range(0..n)].clone(),
+            (TokenKind::Ident(_), n) if n > 1 => idents[rng.gen_range(0..n)].to_owned(),
             _ => return corrupt_once_fallback(source, rng, i),
         },
         // Perturb a number.

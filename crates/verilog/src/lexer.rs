@@ -13,6 +13,7 @@
 //! before, so a multi-byte character still advances the column by one.
 
 use crate::token::{Keyword, Span, Token, TokenKind};
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -210,42 +211,93 @@ fn is_ident_byte(b: u8) -> bool {
 /// # Ok(())
 /// # }
 /// ```
-pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
-    let mut cur = Cursor::new(src);
+pub fn lex(src: &str) -> Result<Vec<Token<'_>>, LexError> {
+    let mut lexer = Lexer::new(src);
     let mut out = Vec::new();
-    loop {
-        cur.skip_whitespace();
-        let Some(b) = cur.peek() else { break };
-        // Comments. An unterminated block comment runs to the end of input.
-        if b == b'/' && cur.peek_at(1) == Some(b'/') {
-            cur.skip_line();
-            continue;
+    while let Some(tok) = lexer.next_token()? {
+        out.push(tok);
+    }
+    Ok(out)
+}
+
+/// A lexer over one source, one token at a time.
+///
+/// The lexer carries no state from one token to the next beyond its
+/// position, line and column, so it can start at any token start of a
+/// source ([`Lexer::resume`]) and produce exactly the tokens [`lex`] would
+/// from there on.
+pub struct Lexer<'src> {
+    cur: Cursor<'src>,
+}
+
+impl<'src> Lexer<'src> {
+    /// A lexer at the start of `src`.
+    pub fn new(src: &'src str) -> Self {
+        Lexer {
+            cur: Cursor::new(src),
         }
-        if b == b'/' && cur.peek_at(1) == Some(b'*') {
-            let rest = &cur.bytes[cur.pos + 2..];
-            let body = rest
-                .windows(2)
-                .position(|w| w == b"*/")
-                .map_or(rest.len(), |i| i + 2);
-            cur.skip(2 + body);
-            continue;
+    }
+
+    /// A lexer standing where [`lex`] produced a token with span `at`: its
+    /// start offset, line and column.
+    pub fn resume(src: &'src str, at: Span) -> Self {
+        let mut cur = Cursor::new(src);
+        cur.pos = at.start;
+        cur.line = at.line;
+        cur.col = at.col;
+        Lexer { cur }
+    }
+
+    /// Skips whitespace and comments, and returns the empty span where the
+    /// next token, or the end of input, starts.
+    pub fn skip_trivia(&mut self) -> Span {
+        let cur = &mut self.cur;
+        loop {
+            cur.skip_whitespace();
+            // An unterminated block comment runs to the end of input.
+            match (cur.peek(), cur.peek_at(1)) {
+                (Some(b'/'), Some(b'/')) => cur.skip_line(),
+                (Some(b'/'), Some(b'*')) => {
+                    let rest = &cur.bytes[cur.pos + 2..];
+                    let body = rest
+                        .windows(2)
+                        .position(|w| w == b"*/")
+                        .map_or(rest.len(), |i| i + 2);
+                    cur.skip(2 + body);
+                }
+                _ => return Span::new(cur.pos, cur.pos, cur.line, cur.col),
+            }
         }
-        let (start, line, col) = (cur.pos, cur.line, cur.col);
+    }
+
+    /// The next token, or `None` at the end of input.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LexError`] as [`lex`] does.
+    pub fn next_token(&mut self) -> Result<Option<Token<'src>>, LexError> {
+        let here = self.skip_trivia();
+        let cur = &mut self.cur;
+        let src = cur.src;
+        let Some(b) = cur.peek() else {
+            return Ok(None);
+        };
+        let (start, line, col) = (here.start, here.line, here.col);
         let kind = match b {
             // Compiler directive: consume to end of line.
             b'`' => {
                 cur.skip_line();
-                TokenKind::Directive(src[start..cur.pos].trim_end().to_owned())
+                TokenKind::Directive(src[start..cur.pos].trim_end())
             }
             b'"' => {
                 cur.advance(1);
-                TokenKind::Str(string_body(&mut cur))
+                TokenKind::Str(string_body(cur))
             }
             // System identifier.
             b'$' => {
                 cur.advance(1);
                 cur.eat_while(is_ident_byte);
-                TokenKind::SysIdent(src[start + 1..cur.pos].to_owned())
+                TokenKind::SysIdent(&src[start + 1..cur.pos])
             }
             // Escaped identifier: `\` up to whitespace.
             b'\\' => {
@@ -253,7 +305,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                 while cur.peek_char().is_some_and(|c| !c.is_whitespace()) {
                     cur.bump_char();
                 }
-                TokenKind::Ident(src[start + 1..cur.pos].to_owned())
+                TokenKind::Ident(&src[start + 1..cur.pos])
             }
             // Number: decimal digits, optionally a based literal. A based
             // literal may also start with `'` directly (width inferred).
@@ -275,7 +327,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                     cur.advance(1);
                     cur.eat_while(|b| b.is_ascii_digit() || b == b'_');
                 }
-                TokenKind::Number(src[start..cur.pos].to_owned())
+                TokenKind::Number(&src[start..cur.pos])
             }
             // Identifier / keyword.
             b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
@@ -283,7 +335,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                 let name = &src[start..cur.pos];
                 match Keyword::from_str(name) {
                     Some(kw) => TokenKind::Keyword(kw),
-                    None => TokenKind::Ident(name.to_owned()),
+                    None => TokenKind::Ident(name),
                 }
             }
             _ => match operator(&cur.bytes[start..]) {
@@ -300,33 +352,58 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                 }
             },
         };
-        out.push(Token::new(kind, Span::new(start, cur.pos, line, col)));
+        Ok(Some(Token::new(kind, Span::new(start, cur.pos, line, col))))
     }
-    Ok(out)
 }
 
 /// Consumes a string literal after its opening quote, through the closing
-/// quote or the end of input, and returns its unescaped contents.
-fn string_body(cur: &mut Cursor<'_>) -> String {
-    let mut s = String::new();
-    loop {
-        match cur.bump_char() {
-            Some('"') | None => break,
-            Some('\\') => match cur.bump_char() {
-                Some('n') => s.push('\n'),
-                Some('t') => s.push('\t'),
-                Some('\\') => s.push('\\'),
-                Some('"') => s.push('"'),
-                Some(other) => {
-                    s.push('\\');
-                    s.push(other);
-                }
-                None => break,
-            },
-            Some(other) => s.push(other),
+/// quote or the end of input, and returns its unescaped contents: a slice
+/// of the source unless an escape sequence had to be rewritten.
+fn string_body<'src>(cur: &mut Cursor<'src>) -> Cow<'src, str> {
+    let start = cur.pos;
+    let rest = &cur.bytes[start..];
+    // The body runs to the first quote no backslash escapes, or to the end.
+    let (mut len, mut escapes) = (0, false);
+    while let Some(&b) = rest.get(len) {
+        match b {
+            b'"' => break,
+            b'\\' => {
+                escapes = true;
+                len += 2;
+            }
+            _ => len += 1,
         }
     }
-    s
+    let len = len.min(rest.len());
+    let body = &cur.src[start..start + len];
+    cur.skip(len);
+    if cur.peek() == Some(b'"') {
+        cur.advance(1);
+    }
+    if !escapes {
+        return Cow::Borrowed(body);
+    }
+    // Unescaping never lengthens the text, so one allocation holds it.
+    let mut s = String::with_capacity(len);
+    let mut chars = body.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            s.push(c);
+            continue;
+        }
+        match chars.next() {
+            Some('n') => s.push('\n'),
+            Some('t') => s.push('\t'),
+            Some('\\') => s.push('\\'),
+            Some('"') => s.push('"'),
+            Some(other) => {
+                s.push('\\');
+                s.push(other);
+            }
+            None => break,
+        }
+    }
+    Cow::Owned(s)
 }
 
 fn is_base_byte(b: Option<u8>) -> bool {
@@ -340,7 +417,7 @@ fn is_base_byte(b: Option<u8>) -> bool {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -348,7 +425,7 @@ mod tests {
     fn lexes_module_header() {
         let toks = kinds("module m(input a, output reg [1:0] b);");
         assert_eq!(toks[0], TokenKind::Keyword(Keyword::Module));
-        assert_eq!(toks[1], TokenKind::Ident("m".into()));
+        assert_eq!(toks[1], TokenKind::Ident("m"));
         assert!(toks.contains(&TokenKind::Op("[")));
         assert_eq!(*toks.last().unwrap(), TokenKind::Op(";"));
     }
@@ -356,10 +433,7 @@ mod tests {
     #[test]
     fn skips_comments() {
         let toks = kinds("a // line\n/* block\n comment */ b");
-        assert_eq!(
-            toks,
-            vec![TokenKind::Ident("a".into()), TokenKind::Ident("b".into())]
-        );
+        assert_eq!(toks, vec![TokenKind::Ident("a"), TokenKind::Ident("b")]);
     }
 
     #[test]
@@ -368,7 +442,7 @@ mod tests {
         let nums: Vec<_> = toks
             .iter()
             .filter_map(|t| match t {
-                TokenKind::Number(s) => Some(s.as_str()),
+                TokenKind::Number(s) => Some(*s),
                 _ => None,
             })
             .collect();
@@ -378,7 +452,7 @@ mod tests {
     #[test]
     fn lexes_real_literal() {
         let toks = kinds("3.14");
-        assert_eq!(toks, vec![TokenKind::Number("3.14".into())]);
+        assert_eq!(toks, vec![TokenKind::Number("3.14")]);
     }
 
     #[test]
@@ -397,7 +471,7 @@ mod tests {
     #[test]
     fn lexes_system_tasks_and_strings() {
         let toks = kinds(r#"$display("err %d\n", x);"#);
-        assert_eq!(toks[0], TokenKind::SysIdent("display".into()));
+        assert_eq!(toks[0], TokenKind::SysIdent("display"));
         assert_eq!(toks[2], TokenKind::Str("err %d\n".into()));
     }
 
@@ -419,8 +493,8 @@ mod tests {
     #[test]
     fn escaped_identifier() {
         let toks = kinds(r"\bus[0] rest");
-        assert_eq!(toks[0], TokenKind::Ident("bus[0]".into()));
-        assert_eq!(toks[1], TokenKind::Ident("rest".into()));
+        assert_eq!(toks[0], TokenKind::Ident("bus[0]"));
+        assert_eq!(toks[1], TokenKind::Ident("rest"));
     }
 
     #[test]
@@ -431,6 +505,6 @@ mod tests {
     #[test]
     fn unterminated_block_comment_is_skipped() {
         let toks = kinds("a /* never closed");
-        assert_eq!(toks, vec![TokenKind::Ident("a".into())]);
+        assert_eq!(toks, vec![TokenKind::Ident("a")]);
     }
 }

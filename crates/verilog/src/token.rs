@@ -1,5 +1,10 @@
 //! Tokens and source spans produced by the [lexer](crate::lexer).
+//!
+//! Tokens borrow their text from the source they were lexed from, so a
+//! token is cheap to clone and lexing allocates nothing per token, save
+//! the unescaped text of a string literal that holds an escape.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A half-open byte range into the original source, with line/column of the
@@ -221,45 +226,44 @@ impl fmt::Display for Keyword {
     }
 }
 
-/// The kind of a lexed token.
+/// The kind of a lexed token, borrowing its text from the source `'src`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum TokenKind {
+pub enum TokenKind<'src> {
     /// A keyword such as `module`.
     Keyword(Keyword),
     /// An identifier (including escaped identifiers, stored without `\`).
-    Ident(String),
+    Ident(&'src str),
     /// A system identifier such as `$display` (stored without `$`).
-    SysIdent(String),
+    SysIdent(&'src str),
     /// A number literal in source spelling, e.g. `8'hFF` or `42`.
-    Number(String),
-    /// A string literal (contents, unescaped).
-    Str(String),
+    Number(&'src str),
+    /// A string literal (contents, unescaped): borrowed from the source
+    /// unless it holds an escape sequence.
+    Str(Cow<'src, str>),
     /// An operator or punctuation, e.g. `<=`, `(`, `===`.
     Op(&'static str),
     /// A compiler directive such as `` `timescale 1ns/1ps `` (entire line).
-    Directive(String),
+    Directive(&'src str),
     /// End of input.
     Eof,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// Source-like rendering of the token (used in diagnostics and in
     /// token-level dataset generation).
     pub fn render(&self) -> String {
         match self {
             TokenKind::Keyword(k) => k.as_str().to_owned(),
-            TokenKind::Ident(s) => s.clone(),
+            TokenKind::Ident(s) | TokenKind::Number(s) | TokenKind::Directive(s) => (*s).to_owned(),
             TokenKind::SysIdent(s) => format!("${s}"),
-            TokenKind::Number(s) => s.clone(),
             TokenKind::Str(s) => format!("\"{s}\""),
             TokenKind::Op(s) => (*s).to_owned(),
-            TokenKind::Directive(s) => s.clone(),
             TokenKind::Eof => "<eof>".to_owned(),
         }
     }
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.render())
     }
@@ -267,16 +271,16 @@ impl fmt::Display for TokenKind {
 
 /// A token with its source span.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Token {
+pub struct Token<'src> {
     /// What was lexed.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'src>,
     /// Where it was lexed from.
     pub span: Span,
 }
 
-impl Token {
+impl<'src> Token<'src> {
     /// Creates a token.
-    pub fn new(kind: TokenKind, span: Span) -> Self {
+    pub fn new(kind: TokenKind<'src>, span: Span) -> Self {
         Token { kind, span }
     }
 
@@ -291,7 +295,7 @@ impl Token {
     }
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.kind)
     }
@@ -327,7 +331,7 @@ mod tests {
 
     #[test]
     fn token_render() {
-        assert_eq!(TokenKind::SysIdent("display".into()).render(), "$display");
+        assert_eq!(TokenKind::SysIdent("display").render(), "$display");
         assert_eq!(TokenKind::Op("<=").render(), "<=");
         assert_eq!(TokenKind::Str("hi".into()).render(), "\"hi\"");
     }

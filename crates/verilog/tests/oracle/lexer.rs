@@ -1,6 +1,8 @@
 //! Test-only oracle: the character-at-a-time lexer that `dda_verilog::lexer`
-//! replaced, kept verbatim apart from imports so the differential tests in
-//! `frontend_oracle.rs` can hold the byte-level lexer to it.
+//! replaced, kept so the differential tests in `frontend_oracle.rs` can hold
+//! the byte-level lexer to it. It is verbatim apart from imports and the
+//! token type: token text is a slice of the source, taken over the same
+//! characters the old code collected one at a time.
 
 use dda_verilog::lexer::LexError;
 use dda_verilog::token::{Keyword, Span, Token, TokenKind};
@@ -74,7 +76,7 @@ impl<'a> Cursor<'a> {
 /// # Ok(())
 /// # }
 /// ```
-pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
+pub fn lex(src: &str) -> Result<Vec<Token<'_>>, LexError> {
     let mut cur = Cursor::new(src);
     let mut out = Vec::new();
     'outer: loop {
@@ -120,7 +122,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                 }
                 cur.bump();
             }
-            let text = src[start..cur.pos].trim_end().to_owned();
+            let text = src[start..cur.pos].trim_end();
             out.push(Token::new(
                 TokenKind::Directive(text),
                 Span::new(start, cur.pos, line, col),
@@ -149,7 +151,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                 }
             }
             out.push(Token::new(
-                TokenKind::Str(s),
+                TokenKind::Str(s.into()),
                 Span::new(start, cur.pos, line, col),
             ));
             continue;
@@ -157,12 +159,11 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
         // System identifier.
         if c == '$' {
             cur.bump();
-            let mut name = String::new();
             while matches!(cur.peek(), Some(c) if c.is_ascii_alphanumeric() || c == '_') {
-                name.push(cur.bump().unwrap());
+                cur.bump();
             }
             out.push(Token::new(
-                TokenKind::SysIdent(name),
+                TokenKind::SysIdent(&src[start + 1..cur.pos]),
                 Span::new(start, cur.pos, line, col),
             ));
             continue;
@@ -170,12 +171,11 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
         // Escaped identifier: `\` up to whitespace.
         if c == '\\' {
             cur.bump();
-            let mut name = String::new();
             while matches!(cur.peek(), Some(c) if !c.is_whitespace()) {
-                name.push(cur.bump().unwrap());
+                cur.bump();
             }
             out.push(Token::new(
-                TokenKind::Ident(name),
+                TokenKind::Ident(&src[start + 1..cur.pos]),
                 Span::new(start, cur.pos, line, col),
             ));
             continue;
@@ -183,47 +183,45 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
         // Number: decimal digits, optionally a based literal. A based literal
         // may also start with `'` directly (width inferred).
         if c.is_ascii_digit() || (c == '\'' && is_base_char(cur.peek2())) {
-            let mut text = String::new();
             while matches!(cur.peek(), Some(c) if c.is_ascii_digit() || c == '_') {
-                text.push(cur.bump().unwrap());
+                cur.bump();
             }
             if cur.peek() == Some('\'') && is_base_char(cur.peek2()) {
-                text.push(cur.bump().unwrap()); // '
-                                                // optional signed marker
+                cur.bump(); // '
+                            // optional signed marker
                 if matches!(cur.peek(), Some('s') | Some('S')) {
-                    text.push(cur.bump().unwrap());
+                    cur.bump();
                 }
-                if let Some(b) = cur.peek() {
-                    text.push(cur.bump().unwrap());
-                    let _ = b;
+                if cur.peek().is_some() {
+                    cur.bump();
                 }
                 while matches!(cur.peek(), Some(c) if c.is_ascii_alphanumeric() || c == '_' || c == '?')
                 {
-                    text.push(cur.bump().unwrap());
+                    cur.bump();
                 }
             } else if cur.peek() == Some('.')
                 && matches!(cur.peek2(), Some(d) if d.is_ascii_digit())
             {
                 // Real literal.
-                text.push(cur.bump().unwrap());
+                cur.bump();
                 while matches!(cur.peek(), Some(c) if c.is_ascii_digit() || c == '_') {
-                    text.push(cur.bump().unwrap());
+                    cur.bump();
                 }
             }
             out.push(Token::new(
-                TokenKind::Number(text),
+                TokenKind::Number(&src[start..cur.pos]),
                 Span::new(start, cur.pos, line, col),
             ));
             continue;
         }
         // Identifier / keyword.
         if c.is_ascii_alphabetic() || c == '_' {
-            let mut name = String::new();
             while matches!(cur.peek(), Some(c) if c.is_ascii_alphanumeric() || c == '_' || c == '$')
             {
-                name.push(cur.bump().unwrap());
+                cur.bump();
             }
-            let kind = match Keyword::from_str(&name) {
+            let name = &src[start..cur.pos];
+            let kind = match Keyword::from_str(name) {
                 Some(kw) => TokenKind::Keyword(kw),
                 None => TokenKind::Ident(name),
             };

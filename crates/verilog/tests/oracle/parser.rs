@@ -1,6 +1,7 @@
 //! Test-only oracle: the recursive-descent parser that `dda_verilog::parser`
 //! replaced, with its eleven-level `binary_expr(level)` expression chain.
-//! Kept verbatim apart from imports (and `ParseError::new`, which is private
+//! Kept verbatim apart from imports, the token type's lifetime and the
+//! copies of borrowed token text (and `ParseError::new`, which is private
 //! to the library, spelled `perr`) so the differential tests in
 //! `frontend_oracle.rs` can hold the precedence-climbing parser to it.
 
@@ -10,7 +11,7 @@ use dda_verilog::logic::{LogicBit, LogicVec};
 use dda_verilog::parser::ParseError;
 use dda_verilog::token::{Keyword, Span, Token, TokenKind};
 
-fn perr(tok: &Token, expected: impl Into<String>) -> ParseError {
+fn perr(tok: &Token<'_>, expected: impl Into<String>) -> ParseError {
     ParseError {
         span: tok.span,
         found: tok.kind.render(),
@@ -61,15 +62,15 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
 /// process and cannot be isolated with `catch_unwind`).
 const MAX_NESTING: usize = 64;
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'src> {
+    tokens: Vec<Token<'src>>,
     pos: usize,
-    eof: Token,
+    eof: Token<'src>,
     depth: usize,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Token>) -> Self {
+impl<'src> Parser<'src> {
+    fn new(tokens: Vec<Token<'src>>) -> Self {
         let end = tokens.last().map(|t| t.span).unwrap_or_default();
         Parser {
             tokens,
@@ -108,11 +109,11 @@ impl Parser {
         self.nested_weighted(1, f)
     }
 
-    fn peek(&self) -> &Token {
+    fn peek(&self) -> &Token<'src> {
         self.tokens.get(self.pos).unwrap_or(&self.eof)
     }
 
-    fn bump(&mut self) -> &Token {
+    fn bump(&mut self) -> &Token<'src> {
         let i = self.pos;
         if self.pos < self.tokens.len() {
             self.pos += 1;
@@ -146,7 +147,7 @@ impl Parser {
         }
     }
 
-    fn expect_op(&mut self, op: &'static str) -> Result<&Token, ParseError> {
+    fn expect_op(&mut self, op: &'static str) -> Result<&Token<'src>, ParseError> {
         if self.at_op(op) {
             Ok(self.bump())
         } else {
@@ -154,7 +155,7 @@ impl Parser {
         }
     }
 
-    fn expect_kw(&mut self, kw: Keyword) -> Result<&Token, ParseError> {
+    fn expect_kw(&mut self, kw: Keyword) -> Result<&Token<'src>, ParseError> {
         if self.at_kw(kw) {
             Ok(self.bump())
         } else {
@@ -165,7 +166,7 @@ impl Parser {
     fn expect_ident(&mut self) -> Result<Ident, ParseError> {
         match &self.peek().kind {
             TokenKind::Ident(name) => {
-                let name = name.clone();
+                let name = (*name).to_owned();
                 let span = self.peek().span;
                 self.bump();
                 Ok(Ident::spanned(name, span))
@@ -189,7 +190,7 @@ impl Parser {
         loop {
             match &self.peek().kind {
                 TokenKind::Directive(d) => {
-                    sf.directives.push(d.clone());
+                    sf.directives.push((*d).to_owned());
                     self.bump();
                 }
                 TokenKind::Keyword(Keyword::Module) => sf.modules.push(self.module()?),
@@ -734,7 +735,7 @@ impl Parser {
         let head = match &self.peek().kind {
             TokenKind::Keyword(k) => Head::Kw(*k),
             TokenKind::Op(o) => Head::Op(o),
-            TokenKind::SysIdent(name) => Head::Sys(name.clone()),
+            TokenKind::SysIdent(name) => Head::Sys((*name).to_owned()),
             TokenKind::Ident(_) => Head::AssignStart,
             _ => return Err(perr(self.peek(), "a statement")),
         };
@@ -1207,9 +1208,9 @@ impl Parser {
                 Some(num) => Head::Num(num),
                 None => return Err(perr(self.peek(), "a valid number literal")),
             },
-            TokenKind::Str(s) => Head::Str(s.clone()),
+            TokenKind::Str(s) => Head::Str(s.to_string()),
             TokenKind::SysIdent(name) => Head::Sys(format!("${name}")),
-            TokenKind::Ident(name) => Head::Id(name.clone()),
+            TokenKind::Ident(name) => Head::Id((*name).to_owned()),
             TokenKind::Op(o) => Head::Op(o),
             _ => return Err(perr(self.peek(), "an expression")),
         };
