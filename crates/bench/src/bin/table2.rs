@@ -22,18 +22,10 @@ use dda_eval::report::{count_label, size_label, TextTable};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-fn arg_after(flag: &str) -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 fn main() {
     let flags = RunFlags::from_args();
     flags.init_obs();
-    let modules = arg_after("--modules").unwrap_or(256);
+    let modules = flags.modules.unwrap_or(256);
     let mut rng = SmallRng::seed_from_u64(2024);
     let corpus = dda_corpus::generate_corpus(modules, &mut rng);
     let stats = dda_corpus::stats(&corpus);
@@ -47,9 +39,12 @@ fn main() {
         ..PipelineOptions::default()
     };
     let (ds, report) = if flags.supervised() {
-        let (ds, report, summary) =
-            augment_supervised(&corpus, &opts, &flags.augment("table2", 2025))
-                .expect("augmentation journal I/O");
+        let (ds, report, summary) = augment_supervised(
+            &corpus,
+            &opts,
+            &flags.augment("table2", &(modules, &opts), 2025),
+        )
+        .expect("augmentation journal I/O");
         log_summary("table2", &summary);
         (ds, report)
     } else {

@@ -5,23 +5,23 @@
 //! Usage: `cargo run --release -p dda-bench --bin table4
 //! [--quick] [--workers N] [--resume PATH]`
 //!
-//! `--workers`/`--resume` run each per-model sweep on the supervised
-//! runtime engine (parallel workers plus a per-sweep write-ahead
-//! journal); supervised rows are identical to the sequential ones.
+//! Each per-model sweep runs on the supervised runtime engine:
+//! `--workers` fans it over N threads and `--resume` journals it (see
+//! `dda_bench::RunFlags`); rows are identical either way. A task the
+//! engine quarantines renders as a miss (`>10`).
 
-use dda_bench::{log_summary, zoo_from_args, RunFlags};
+use dda_bench::{log_summary, RunFlags};
 use dda_benchmarks::sc_suite;
-use dda_eval::eval_script_suite_supervised;
 use dda_eval::report::TextTable;
-use dda_eval::script_eval::{eval_script_suite, ScriptCell, ScriptProtocol};
-use dda_eval::ModelId;
+use dda_eval::{eval_script_suite, ModelId, Row, ScriptCell, ScriptProtocol};
 
 fn main() {
     let flags = RunFlags::from_args();
     flags.init_obs();
-    let zoo = zoo_from_args();
+    let zoo = flags.zoo();
     let protocol = ScriptProtocol::default();
     let tasks = sc_suite();
+    let ids: Vec<_> = tasks.iter().map(|t| t.level.label()).collect();
     // Table 4's model columns.
     let models = [
         ModelId::Gpt35,
@@ -44,22 +44,23 @@ fn main() {
     let mut per_model = Vec::new();
     for m in models {
         eprintln!("[table4] evaluating {m}...");
-        if flags.supervised() {
-            let label = format!("table4-{m}");
-            let (rows, summary) =
-                eval_script_suite_supervised(zoo.model(m), &tasks, &protocol, &flags.sweep(&label))
-                    .expect("sweep journal I/O");
-            log_summary(&label, &summary);
-            per_model.push(rows);
-        } else {
-            per_model.push(eval_script_suite(zoo.model(m), &tasks, &protocol));
-        }
+        let label = format!("table4-{m}");
+        let sweep = flags.sweep(&label, &(&protocol, &ids));
+        let (rows, summary) =
+            eval_script_suite(zoo.model(m), &tasks, &protocol, &sweep).expect("sweep journal I/O");
+        log_summary(&label, &summary);
+        per_model.push(rows);
     }
 
+    // A quarantined task renders as a miss on both columns.
+    let miss = ScriptCell {
+        syn_iter: None,
+        func_iter: None,
+    };
     for (ti, t) in tasks.iter().enumerate() {
         let mut row = vec![t.level.label().to_owned()];
         for rows in &per_model {
-            let (_, cell) = &rows[ti];
+            let cell = rows[ti].result.as_ref().unwrap_or(&miss);
             row.push(ScriptCell::fmt_iter(cell.syn_iter, protocol.max_iters));
             row.push(ScriptCell::fmt_iter(cell.func_iter, protocol.max_iters));
         }
@@ -68,27 +69,25 @@ fn main() {
     println!("{}", table.render());
 
     // Shape check: Ours models succeed in ~1 iteration; baselines mostly >10.
-    let first_try = |rows: &[(String, ScriptCell)]| {
+    let first_try = |rows: &[Row<ScriptCell>]| {
         rows.iter()
-            .filter(|(_, c)| c.func_iter.map(|i| i <= 2).unwrap_or(false))
+            .filter(|r| {
+                r.result
+                    .as_ref()
+                    .is_ok_and(|c| c.func_iter.is_some_and(|i| i <= 2))
+            })
             .count()
     };
     println!("Paper shape check (Ours solve all 5 levels in 1-2 tries; baselines mostly miss):");
-    println!(
-        "  Ours-7B levels solved in <=2 tries: {}/5",
-        first_try(&per_model[2])
-    );
-    println!(
-        "  Ours-13B levels solved in <=2 tries: {}/5",
-        first_try(&per_model[4])
-    );
-    println!(
-        "  GPT-3.5 levels solved in <=2 tries: {}/5",
-        first_try(&per_model[0])
-    );
-    println!(
-        "  Thakur levels solved in <=2 tries: {}/5",
-        first_try(&per_model[1])
-    );
+    // `models` column order.
+    for (mi, name) in [
+        (2, "Ours-7B"),
+        (4, "Ours-13B"),
+        (0, "GPT-3.5"),
+        (1, "Thakur"),
+    ] {
+        let solved = first_try(&per_model[mi]);
+        println!("  {name} levels solved in <=2 tries: {solved}/5");
+    }
     flags.finish_obs();
 }

@@ -3,28 +3,39 @@
 //! Table-5 subset (18 designs), for all six models.
 //!
 //! Usage: `cargo run --release -p dda-bench --bin table5
-//! [--quick] [--workers N] [--resume PATH]
-//! [--eval-mode ast|bytecode]`
+//! [--quick] [--workers N] [--resume PATH]`
 //!
-//! `--workers`/`--resume` run each (model, suite) sweep on the supervised
-//! runtime engine (parallel workers plus a per-sweep write-ahead
-//! journal); supervised rows are identical to the sequential ones.
-//! `--eval-mode` picks the simulator engine for testbench scoring; both
-//! engines produce identical verdicts (only wall-clock differs).
+//! Each (model, suite) sweep runs on the supervised runtime engine:
+//! `--workers` fans it over N threads and `--resume` journals it (see
+//! `dda_bench::RunFlags`); rows are identical either way. A problem the
+//! engine quarantines renders as a miss (`-` syntax, `0%` function on
+//! every prompt level).
 
-use dda_bench::{log_summary, zoo_from_args, RunFlags};
-use dda_benchmarks::{rtllm_table5_subset, thakur_suite};
+use dda_bench::{log_summary, RunFlags};
+use dda_benchmarks::{rtllm_table5_subset, thakur_suite, VerilogProblem};
 use dda_eval::report::{pct, pct_short, TextTable};
-use dda_eval::{eval_suite, eval_suite_supervised, success_rate, GenProtocol, ModelId};
+use dda_eval::{eval_suite, success_rate, GenProtocol, GenRow, ModelId};
+
+/// A row's `(syntax, function)` columns, one `/`-joined entry per prompt
+/// level; a quarantined row is a miss on each of the problem's levels.
+fn columns(row: &GenRow, problem: &VerilogProblem) -> (String, String) {
+    let (syn, fun): (Vec<String>, Vec<String>) = match &row.result {
+        Ok(cells) => cells
+            .iter()
+            .map(|c| (c.syntax_errors.to_string(), pct_short(c.best_function)))
+            .unzip(),
+        Err(_) => (0..problem.prompts.len())
+            .map(|_| ("-".to_owned(), pct_short(0.0)))
+            .unzip(),
+    };
+    (syn.join("/"), fun.join("/"))
+}
 
 fn main() {
     let flags = RunFlags::from_args();
     flags.init_obs();
-    let zoo = zoo_from_args();
-    let protocol = GenProtocol {
-        eval_mode: flags.eval_mode,
-        ..GenProtocol::default()
-    };
+    let zoo = flags.zoo();
+    let protocol = GenProtocol::default();
     let thakur = thakur_suite();
     let rtllm = rtllm_table5_subset();
 
@@ -39,18 +50,19 @@ fn main() {
     let mut table = TextTable::new(header);
 
     // Evaluate every model on both suites up front.
-    let sweep = |id: ModelId, suite_name: &str, problems: &[_]| {
+    let sweep = |id: ModelId, suite_name: &str, problems: &[VerilogProblem]| {
         eprintln!("[table5] evaluating {id} on {suite_name}...");
-        if flags.supervised() {
-            let label = format!("table5-{suite_name}-{id}");
-            let (rows, summary) =
-                eval_suite_supervised(zoo.model(id), problems, &protocol, &flags.sweep(&label))
-                    .expect("sweep journal I/O");
-            log_summary(&label, &summary);
-            rows
-        } else {
-            eval_suite(zoo.model(id), problems, &protocol)
-        }
+        let label = format!("table5-{suite_name}-{id}");
+        let ids: Vec<_> = problems.iter().map(|p| p.id).collect();
+        let (rows, summary) = eval_suite(
+            zoo.model(id),
+            problems,
+            &protocol,
+            &flags.sweep(&label, &(&protocol, &ids)),
+        )
+        .expect("sweep journal I/O");
+        log_summary(&label, &summary);
+        rows
     };
     let mut thakur_rows = Vec::new();
     let mut rtllm_rows = Vec::new();
@@ -59,49 +71,34 @@ fn main() {
         rtllm_rows.push(sweep(id, "rtllm", &rtllm));
     }
 
-    for (pi, p) in thakur.iter().enumerate() {
-        let mut row = vec![format!("Thakur {}", p.id)];
-        for rows in &thakur_rows {
-            let r = &rows[pi];
-            let syn: Vec<String> = r
-                .cells
-                .iter()
-                .map(|c| c.syntax_errors.to_string())
-                .collect();
-            let fun: Vec<String> = r.cells.iter().map(|c| pct_short(c.best_function)).collect();
-            row.push(syn.join("/"));
-            row.push(fun.join("/"));
+    for (name, problems, per_model) in [
+        ("Thakur", &thakur, &thakur_rows),
+        ("RTLLM", &rtllm, &rtllm_rows),
+    ] {
+        for (pi, p) in problems.iter().enumerate() {
+            let mut row = vec![format!("{name} {}", p.id)];
+            for rows in per_model {
+                let (syn, fun) = columns(&rows[pi], p);
+                row.extend([syn, fun]);
+            }
+            table.row(row);
         }
-        table.row(row);
-    }
-    let mut srow = vec!["Thakur success rate".to_owned()];
-    for rows in &thakur_rows {
-        srow.push(String::new());
-        srow.push(pct(success_rate(rows)));
-    }
-    table.row(srow);
-
-    for (pi, p) in rtllm.iter().enumerate() {
-        let mut row = vec![format!("RTLLM {}", p.id)];
-        for rows in &rtllm_rows {
-            let r = &rows[pi];
-            row.push(r.cells[0].syntax_errors.to_string());
-            row.push(pct_short(r.cells[0].best_function));
+        let mut srow = vec![format!("{name} success rate")];
+        for rows in per_model {
+            srow.extend([String::new(), pct(success_rate(rows))]);
         }
-        table.row(row);
+        table.row(srow);
     }
-    let mut srow = vec!["RTLLM success rate".to_owned()];
-    for rows in &rtllm_rows {
-        srow.push(String::new());
-        srow.push(pct(success_rate(rows)));
-    }
-    table.row(srow);
 
+    // Per-model success over both suites: the "All success" row.
+    let all: Vec<f64> = thakur_rows
+        .iter()
+        .zip(&rtllm_rows)
+        .map(|(t, r)| success_rate(&[t.as_slice(), r].concat()))
+        .collect();
     let mut arow = vec!["All success".to_owned()];
-    for (t, r) in thakur_rows.iter().zip(&rtllm_rows) {
-        let all: Vec<_> = t.iter().chain(r.iter()).cloned().collect();
-        arow.push(String::new());
-        arow.push(pct(success_rate(&all)));
+    for rate in &all {
+        arow.extend([String::new(), pct(*rate)]);
     }
     table.row(arow);
 
@@ -120,51 +117,33 @@ fn main() {
         }
     };
     println!("Paper shape check (Table 5 'All success' column ordering, ±1 design tolerance):");
-    let all_rate = |i: usize| {
-        let all: Vec<_> = thakur_rows[i]
-            .iter()
-            .chain(rtllm_rows[i].iter())
-            .cloned()
-            .collect();
-        success_rate(&all)
-    };
-    let (gpt, ours7, ours13, thakur_m, llama, general) = (
-        all_rate(0),
-        all_rate(1),
-        all_rate(2),
-        all_rate(3),
-        all_rate(4),
-        all_rate(5),
-    );
-    println!(
-        "  Ours-13B ({}) >= Ours-7B ({}): {}",
-        pct(ours13),
-        pct(ours7),
-        cmp(ours13, ours7)
-    );
-    println!(
-        "  Ours-13B ({}) > General-Aug ({}): {}",
-        pct(ours13),
-        pct(general),
-        cmp(ours13, general)
-    );
-    println!(
-        "  Ours-13B ({}) > Thakur ({}): {}",
-        pct(ours13),
-        pct(thakur_m),
-        cmp(ours13, thakur_m)
-    );
-    println!(
-        "  General-Aug ({}) >= Llama2-PT ({}): {}",
-        pct(general),
-        pct(llama),
-        cmp(general, llama)
-    );
-    println!(
-        "  GPT-3.5 ({}) in the same band as Ours-13B ({}): {}",
-        pct(gpt),
-        pct(ours13),
-        cmp(ours13, gpt)
-    );
+    // `ModelId::ALL` column order. Each check reads `left rel right`; its
+    // verdict compares left over right, or right over left for the band
+    // check, which GPT-3.5 leads but Ours-13B anchors.
+    let names = [
+        "GPT-3.5",
+        "Ours-7B",
+        "Ours-13B",
+        "Thakur",
+        "Llama2-PT",
+        "General-Aug",
+    ];
+    for (a, rel, b, anchor_right) in [
+        (2, ">=", 1, false),
+        (2, ">", 5, false),
+        (2, ">", 3, false),
+        (5, ">=", 4, false),
+        (0, "in the same band as", 2, true),
+    ] {
+        let (hi, lo) = if anchor_right { (b, a) } else { (a, b) };
+        println!(
+            "  {} ({}) {rel} {} ({}): {}",
+            names[a],
+            pct(all[a]),
+            names[b],
+            pct(all[b]),
+            cmp(all[hi], all[lo])
+        );
+    }
     flags.finish_obs();
 }

@@ -23,13 +23,19 @@
 //! Outcomes are stall-invariant (pinned by `tool_wait_never_changes_
 //! outcomes`); the stall exists so the table measures what parallelism
 //! actually buys an agent — overlapped waits — rather than core count.
+//!
+//! A per-model block closes the table: for Ours-13B, Ours-7B, GPT-3.5 and
+//! pretrained Llama2-13B, one k=1 chain per (problem, level) at round
+//! budget 0 (single-shot generation) and at round budget 3 (the Fig. 1
+//! tool-feedback loop), over the same grid. A problem counts as solved
+//! when any of its levels passes.
 
-use dda_bench::{zoo_from_args, RunFlags};
-use dda_benchmarks::thakur_suite;
+use dda_bench::RunFlags;
+use dda_benchmarks::{thakur_suite, VerilogProblem};
 use dda_eval::report::pct;
 use dda_eval::{
     agent_batch, agent_batch_sequential, AgentBatchOptions, AgentBatchOutcome, AgentProtocol,
-    ModelId,
+    ModelId, ModelZoo,
 };
 use std::time::{Duration, Instant};
 
@@ -59,17 +65,71 @@ fn assert_bit_identical(a: &AgentBatchOutcome, b: &AgentBatchOutcome, what: &str
     }
 }
 
+/// Round budget of the per-model block's tool-feedback loop.
+const LOOP_ROUNDS: usize = 3;
+
+/// The per-model block: one k=1 chain per (problem, level) at round
+/// budget 0 and at [`LOOP_ROUNDS`], for each model.
+fn per_model_block(zoo: &ModelZoo, suite: &[VerilogProblem], levels: &[usize]) {
+    println!(
+        "\nSingle-shot vs tool loop per model (k=1 chain per problem and level; \
+         solved = any level passes)"
+    );
+    println!(
+        "{:<22} {:>12} {:>14} {:>12}",
+        "model",
+        "single-shot",
+        format!("loop ({LOOP_ROUNDS} rds)"),
+        "mean rounds"
+    );
+    for id in [
+        ModelId::Ours13B,
+        ModelId::Ours7B,
+        ModelId::Gpt35,
+        ModelId::Llama2Pt,
+    ] {
+        let opts = |rounds| AgentBatchOptions {
+            k: 1,
+            protocol: AgentProtocol {
+                max_feedback_iters: rounds,
+                ..AgentProtocol::default()
+            },
+            ..AgentBatchOptions::default()
+        };
+        let (single_opts, loop_opts) = (opts(0), opts(LOOP_ROUNDS));
+        let (mut single, mut looped, mut rounds) = (0usize, 0usize, 0usize);
+        for problem in suite {
+            let (mut s, mut l) = (false, false);
+            for &level in levels {
+                s |= agent_batch(zoo.model(id), problem, level, &[], &single_opts).passed();
+                let out = agent_batch(zoo.model(id), problem, level, &[], &loop_opts);
+                l |= out.passed();
+                rounds += out.rounds_total;
+            }
+            single += s as usize;
+            looped += l as usize;
+        }
+        let n = suite.len() as f64;
+        println!(
+            "{:<22} {:>12} {:>14} {:>12.2}",
+            id.label(),
+            pct(single as f64 / n),
+            pct(looped as f64 / n),
+            rounds as f64 / (suite.len() * levels.len()) as f64
+        );
+    }
+}
+
 fn main() {
     let flags = RunFlags::from_args();
     flags.init_obs();
-    let quick = std::env::args().any(|a| a == "--quick");
-    let zoo = zoo_from_args();
+    let zoo = flags.zoo();
     let model = zoo.model(ModelId::Ours13B);
     let suite = thakur_suite();
     // The grid: every problem; all three prompt levels in the full run,
     // the most detailed level only under --quick.
-    let levels: &[usize] = if quick { &[2] } else { &[0, 1, 2] };
-    let rounds_rows: &[usize] = if quick { &[1, 3] } else { &[0, 1, 2, 3] };
+    let levels: &[usize] = if flags.quick { &[2] } else { &[0, 1, 2] };
+    let rounds_rows: &[usize] = if flags.quick { &[1, 3] } else { &[0, 1, 2, 3] };
     let workers = if flags.workers > 1 { flags.workers } else { 8 };
 
     println!(
@@ -168,6 +228,8 @@ fn main() {
     println!("\nEvery parallel batch above was asserted bit-identical to its sequential");
     println!("reference (early-exit off) and winner-identical with early-exit on —");
     println!("parallelism and speculative cancellation change wall-clock only.");
+    per_model_block(&zoo, &suite, levels);
+    println!();
     assert!(
         headline_speedup >= 2.0,
         "parallel agent only {headline_speedup:.2}x the sequential reference at \

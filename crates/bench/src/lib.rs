@@ -1,14 +1,14 @@
 //! # dda-bench
 //!
 //! Shared plumbing for the table/figure regeneration binaries
-//! (`table1`–`table5`, `fig2`–`fig7`) and the Criterion benches. Each
+//! (`table1`–`table6`, `fig2`–`fig7`) and the Criterion benches. Each
 //! binary regenerates one table or figure of the paper; see DESIGN.md's
 //! per-experiment index for the mapping.
 //!
-//! The crate exports three pieces: the zoo constructors
-//! ([`standard_zoo`], [`quick_zoo`], [`zoo_from_args`]), the shared CLI
-//! flag parser [`RunFlags`] (workers / resume / eval-mode / observability),
-//! and [`log_summary`] for the engine's resume-and-retry counters.
+//! The crate exports the shared CLI flag parser [`RunFlags`] (zoo size,
+//! workers, resume journals, retrieval depth, observability), the small
+//! [`quick_zoo`] the perf snapshot uses, and [`log_summary`] for the
+//! engine's resume-and-retry counters.
 //!
 //! ## Example
 //!
@@ -18,8 +18,9 @@
 //! use dda_bench::RunFlags;
 //!
 //! let flags = RunFlags::from_args(); // a doctest has no CLI flags
-//! assert!(!flags.supervised());
 //! assert_eq!(flags.workers, 1);
+//! assert_eq!(flags.zoo_options().corpus_modules, 192);
+//! assert!(flags.sweep("table5-thakur-GPT-3.5", &5).journal.is_none());
 //! flags.init_obs(); // no --metrics / --trace-out: the recorder stays off
 //! assert!(!dda_obs::enabled());
 //! // ... regenerate the table ...
@@ -29,54 +30,39 @@
 #![warn(missing_docs)]
 
 use dda_core::supervised::SupervisedOptions;
-use dda_eval::supervised::SweepOptions;
-use dda_eval::{EvalMode, ModelZoo, ZooOptions};
+use dda_eval::{ModelZoo, SweepOptions, ZooOptions};
 use dda_runtime::{EngineSummary, RunOptions};
+use std::fmt::Debug;
 use std::path::PathBuf;
 
-/// Builds the standard model zoo used by all table binaries (fixed seed so
-/// every regeneration is reproducible).
-pub fn standard_zoo() -> ModelZoo {
-    ModelZoo::build(&ZooOptions::default())
-}
-
-/// A smaller zoo for quick smoke runs (`--quick` flag on the binaries).
+/// A smaller zoo for quick smoke runs (the `--quick` corpus size).
 pub fn quick_zoo() -> ModelZoo {
     ModelZoo::build(&ZooOptions {
-        corpus_modules: 48,
+        corpus_modules: QUICK_CORPUS_MODULES,
         ..ZooOptions::default()
     })
 }
 
-/// Returns the zoo selected by CLI args: `--quick` for the small corpus,
-/// and `--workers N` also fans model *training* (per-document
-/// tokenisation) over N threads. Training is worker-count invariant, so
-/// this only changes build wall-clock, never a table cell.
-pub fn zoo_from_args() -> ModelZoo {
-    let workers = RunFlags::from_args().workers;
-    let mut opts = ZooOptions::default();
-    if std::env::args().any(|a| a == "--quick") {
-        opts.corpus_modules = 48;
-    }
-    opts.train_workers = workers.max(1);
-    ModelZoo::build(&opts)
-}
+/// Corpus modules behind the `--quick` zoo.
+const QUICK_CORPUS_MODULES: usize = 48;
 
-/// The shared `--workers N` / `--resume PATH` / `--eval-mode ENGINE` flags
-/// of the table binaries.
+/// The shared flags of the table binaries.
 ///
-/// With either of the first two flags given the binary routes its sweeps
-/// through the `dda-runtime` supervised engine: `--workers N` fans each
-/// sweep over N worker threads, `--resume PATH` write-ahead-journals every
-/// sweep to `PATH.<label>` and replays completed units from it on the next
-/// run. Without both flags the binaries keep their original sequential
-/// code paths, so default output stays byte-identical release to release.
+/// `--quick` builds the zoo from a 48-module corpus instead of the
+/// default 192. Every sweep runs on the `dda-runtime` supervised engine:
+/// `--workers N` fans each sweep (and model training) over N worker
+/// threads, and `--resume PATH` write-ahead-journals every sweep to
+/// `PATH.<label>-<fingerprint>` and replays completed units from it on
+/// the next run. The fingerprint hashes everything that determines the
+/// sweep's rows, so a run over other inputs (another zoo size, protocol,
+/// suite or retrieval depth) writes its own journal and never replays
+/// this one's. Tables are identical for any worker count, with or
+/// without a journal.
 ///
-/// `--eval-mode ast|bytecode` selects the simulator engine used for
-/// testbench scoring (bytecode by default; `ast` reproduces the reference
-/// interpreter for differential runs). Verdicts and scores are identical
-/// across engines — only wall-clock differs. Any other engine name, and
-/// the retired `--runs-per-batch`, is a usage error.
+/// `--rag-k K` (table3) and `--modules N` (table2) are parsed here too.
+/// A numeric flag with a missing or non-numeric value, any value flag
+/// without its value, and the retired `--eval-mode` and
+/// `--runs-per-batch` are usage errors.
 ///
 /// `--trace-out PATH` and `--metrics` turn the `dda-obs` recorder on:
 /// the first streams structured JSONL events (plus end-of-run counter
@@ -85,12 +71,16 @@ pub fn zoo_from_args() -> ModelZoo {
 /// and every instrumentation site costs one relaxed atomic load.
 #[derive(Debug, Clone)]
 pub struct RunFlags {
+    /// Build the zoo from the small quick corpus (`--quick`).
+    pub quick: bool,
     /// Worker threads per sweep (`--workers N`; default 1).
     pub workers: usize,
-    /// Journal path stem (`--resume PATH`); one journal per sweep label.
+    /// Journal path stem (`--resume PATH`); one journal per sweep.
     pub resume: Option<PathBuf>,
-    /// Simulator engine (`--eval-mode ast|bytecode`; default bytecode).
-    pub eval_mode: EvalMode,
+    /// Retrieval depth for table3's RAG ablation (`--rag-k K`).
+    pub rag_k: Option<usize>,
+    /// Corpus size for table2 (`--modules N`).
+    pub modules: Option<usize>,
     /// JSONL trace destination (`--trace-out PATH`); enables the recorder.
     pub trace_out: Option<PathBuf>,
     /// Print an end-of-run metrics summary (`--metrics`); enables the
@@ -110,39 +100,43 @@ impl RunFlags {
     }
 
     /// Parses the flags from `args` (the arguments after the program
-    /// name). Flags this type does not own are skipped, so each binary
-    /// can read its own from the same list.
+    /// name). Flags this type does not own are skipped.
     ///
     /// # Errors
     ///
-    /// A usage message when `--eval-mode` is missing its value or names
-    /// an unknown engine, or when the retired `--runs-per-batch` is given.
+    /// A usage message when a value flag is missing its value, a numeric
+    /// flag's value is not a non-negative integer, or a retired flag
+    /// (`--eval-mode`, `--runs-per-batch`) is given.
     pub fn parse(args: &[String]) -> Result<RunFlags, String> {
-        if args.iter().any(|a| a == "--runs-per-batch") {
-            return Err("--runs-per-batch was removed: each distinct candidate is \
-                        simulated once, so repeat lanes add nothing"
-                .to_string());
+        let retired = ["--runs-per-batch", "--eval-mode"];
+        if let Some(flag) = args.iter().find(|a| retired.contains(&a.as_str())) {
+            return Err(format!(
+                "{flag} was removed: each distinct candidate is simulated once, on bytecode"
+            ));
         }
-        let after = |flag: &str| args.iter().position(|a| a == flag).map(|i| args.get(i + 1));
-        let eval_mode = match after("--eval-mode") {
-            None => EvalMode::default(),
-            Some(Some(v)) if v == "ast" => EvalMode::Ast,
-            Some(Some(v)) if v == "bytecode" => EvalMode::Bytecode,
-            Some(v) => {
-                return Err(format!(
-                    "--eval-mode got {}; accepted values: ast, bytecode",
-                    v.map_or("no value".to_string(), |v| format!("`{v}`"))
-                ))
+        let value = |flag: &str| -> Result<Option<&String>, String> {
+            match args.iter().position(|a| a == flag).map(|i| args.get(i + 1)) {
+                None => Ok(None),
+                Some(Some(v)) => Ok(Some(v)),
+                Some(None) => Err(format!("{flag} is missing its value")),
             }
         };
+        let number = |flag: &str| -> Result<Option<usize>, String> {
+            value(flag)?
+                .map(|v| {
+                    v.parse()
+                        .map_err(|_| format!("{flag} got `{v}`; expected a non-negative integer"))
+                })
+                .transpose()
+        };
+        let path = |flag: &str| value(flag).map(|v| v.map(PathBuf::from));
         Ok(RunFlags {
-            workers: after("--workers")
-                .flatten()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(1),
-            resume: after("--resume").flatten().map(PathBuf::from),
-            eval_mode,
-            trace_out: after("--trace-out").flatten().map(PathBuf::from),
+            quick: args.iter().any(|a| a == "--quick"),
+            workers: number("--workers")?.unwrap_or(1),
+            resume: path("--resume")?,
+            rag_k: number("--rag-k")?,
+            modules: number("--modules")?,
+            trace_out: path("--trace-out")?,
             metrics: args.iter().any(|a| a == "--metrics"),
         })
     }
@@ -181,7 +175,28 @@ impl RunFlags {
         }
     }
 
-    /// True when either flag asks for the supervised engine.
+    /// The zoo the flags select: the quick or default corpus, trained on
+    /// `--workers` threads (training is worker-count invariant, so this
+    /// only changes build wall-clock, never a table cell).
+    pub fn zoo_options(&self) -> ZooOptions {
+        ZooOptions {
+            corpus_modules: if self.quick {
+                QUICK_CORPUS_MODULES
+            } else {
+                ZooOptions::default().corpus_modules
+            },
+            train_workers: self.workers.max(1),
+            ..ZooOptions::default()
+        }
+    }
+
+    /// Builds the zoo of [`RunFlags::zoo_options`].
+    pub fn zoo(&self) -> ModelZoo {
+        ModelZoo::build(&self.zoo_options())
+    }
+
+    /// True when either `--workers` or `--resume` asks for the supervised
+    /// augmentation engine (table2).
     pub fn supervised(&self) -> bool {
         self.workers > 1 || self.resume.is_some()
     }
@@ -194,32 +209,43 @@ impl RunFlags {
         }
     }
 
-    /// Journal path for the sweep named `label`, if journaling is on.
-    /// Labels are slugged (model names contain spaces and dots).
-    pub fn journal(&self, label: &str) -> Option<PathBuf> {
+    /// Journal path for the sweep named `label` over the inputs `key`, if
+    /// journaling is on: `PATH.<label slug>-<fingerprint>`, where the
+    /// fingerprint is the FNV-1a hash of `key`'s `Debug` text. Labels are
+    /// slugged (model names contain spaces and dots).
+    fn journal(&self, label: &str, key: &dyn Debug) -> Option<PathBuf> {
         let slug: String = label
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
             .collect();
+        let fingerprint = format!("{key:?}")
+            .bytes()
+            .fold(0xcbf29ce484222325u64, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x100000001b3)
+            });
         self.resume
             .as_ref()
-            .map(|p| PathBuf::from(format!("{}.{slug}", p.display())))
+            .map(|p| PathBuf::from(format!("{}.{slug}-{fingerprint:016x}", p.display())))
     }
 
-    /// Eval-sweep options for the sweep named `label`.
-    pub fn sweep(&self, label: &str) -> SweepOptions {
+    /// Eval-sweep options for the sweep named `label`. `key` must cover
+    /// every input of the sweep besides the zoo (protocol, suite,
+    /// retrieval depth); the zoo options are added here.
+    pub fn sweep(&self, label: &str, key: &dyn Debug) -> SweepOptions {
+        let zoo = self.zoo_options();
         SweepOptions {
             run: self.run_options(),
-            journal: self.journal(label),
+            journal: self.journal(label, &(zoo.corpus_modules, zoo.seed, key)),
             resume: true,
         }
     }
 
-    /// Augmentation options for the sweep named `label`.
-    pub fn augment(&self, label: &str, seed: u64) -> SupervisedOptions {
+    /// Augmentation options for the sweep named `label` over the inputs
+    /// `key` (corpus and pipeline options).
+    pub fn augment(&self, label: &str, key: &dyn Debug, seed: u64) -> SupervisedOptions {
         SupervisedOptions {
             run: self.run_options(),
-            journal: self.journal(label),
+            journal: self.journal(label, &(key, seed)),
             resume: true,
             seed,
         }
@@ -269,36 +295,109 @@ pub fn log_summary(label: &str, s: &EngineSummary) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dda_benchmarks::thakur_suite;
+    use dda_eval::{eval_suite, GenProtocol};
+    use dda_slm::{Slm, SlmProfile, PROGRESSIVE_ORDER};
 
     fn parse(args: &[&str]) -> Result<RunFlags, String> {
         RunFlags::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
     }
 
     #[test]
-    fn engine_flags_parse() {
-        assert_eq!(parse(&[]).unwrap().eval_mode, EvalMode::Bytecode);
-        assert_eq!(parse(&["--quick"]).unwrap().eval_mode, EvalMode::Bytecode);
-        let f = parse(&["--eval-mode", "ast", "--workers", "3", "--metrics"]).unwrap();
-        assert_eq!(f.eval_mode, EvalMode::Ast);
-        assert_eq!(f.workers, 3);
-        assert!(f.metrics);
-        let f = parse(&["--quick", "--eval-mode", "bytecode"]).unwrap();
-        assert_eq!(f.eval_mode, EvalMode::Bytecode);
+    fn flags_parse() {
+        let f = parse(&[]).unwrap();
+        assert!(!f.quick && !f.metrics);
+        assert_eq!((f.workers, f.rag_k, f.modules), (1, None, None));
+        let f = parse(&["--quick", "--workers", "3", "--metrics", "--rag-k", "2"]).unwrap();
+        assert!(f.quick && f.metrics);
+        assert_eq!((f.workers, f.rag_k), (3, Some(2)));
+        assert_eq!(f.zoo_options().corpus_modules, QUICK_CORPUS_MODULES);
+        assert_eq!(f.zoo_options().train_workers, 3);
+        let f = parse(&["--modules", "64", "--resume", "/tmp/j"]).unwrap();
+        assert_eq!(f.modules, Some(64));
+        assert_eq!(f.resume, Some(PathBuf::from("/tmp/j")));
     }
 
     #[test]
-    fn unknown_engines_are_usage_errors() {
-        for bad in ["batch", "AST", "bytecod", ""] {
-            let err = parse(&["--eval-mode", bad]).unwrap_err();
-            assert!(err.contains("ast, bytecode"), "{bad}: {err}");
+    fn malformed_numeric_flags_are_usage_errors() {
+        for flag in ["--workers", "--rag-k", "--modules"] {
+            for bad in ["abc", "-1", "2.5", ""] {
+                let err = parse(&[flag, bad]).unwrap_err();
+                assert!(
+                    err.contains(flag) && err.contains("integer"),
+                    "{flag} {bad}: {err}"
+                );
+            }
+            let err = parse(&["--quick", flag]).unwrap_err();
+            assert!(err.contains("missing its value"), "{flag}: {err}");
         }
-        let err = parse(&["--quick", "--eval-mode"]).unwrap_err();
-        assert!(err.contains("no value"), "{err}");
+        for flag in ["--resume", "--trace-out"] {
+            let err = parse(&[flag]).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+        }
     }
 
     #[test]
-    fn retired_runs_per_batch_is_a_usage_error() {
+    fn retired_flags_are_usage_errors() {
         let err = parse(&["--runs-per-batch", "4"]).unwrap_err();
         assert!(err.contains("--runs-per-batch"), "{err}");
+        for args in [&["--eval-mode", "ast"][..], &["--eval-mode"]] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains("--eval-mode was removed"), "{err}");
+        }
+    }
+
+    #[test]
+    fn journals_are_keyed_on_every_input() {
+        let path = |args: &[&str], label, key: &dyn Debug| {
+            let f = parse(&[&["--resume", "/tmp/j"], args].concat()).unwrap();
+            f.sweep(label, key).journal.unwrap()
+        };
+        let (label, gen) = ("table5-thakur-Ours-13B", GenProtocol::default());
+        let a = path(&[], label, &gen);
+        assert!(a
+            .display()
+            .to_string()
+            .starts_with("/tmp/j.table5-thakur-Ours-13B-"));
+        // The worker count never changes a row, so it shares the journal.
+        assert_eq!(path(&["--workers", "4"], label, &gen), a);
+        assert_ne!(path(&["--quick"], label, &gen), a);
+        assert_ne!(path(&[], label, &GenProtocol { k: 1, ..gen }), a);
+        assert_ne!(path(&[], "table5-rtllm-Ours-13B", &gen), a);
+        assert_eq!(parse(&[]).unwrap().sweep("x", &1).journal, None);
+    }
+
+    /// Two runs with different protocols share one `--resume` path: the
+    /// second re-executes every unit and equals a fresh run, and a rerun
+    /// of the first replays its own journal.
+    #[test]
+    fn a_journal_is_never_replayed_for_other_inputs() {
+        let stem = std::env::temp_dir().join(format!("dda-bench-key-{}", std::process::id()));
+        let flags = parse(&["--resume", stem.to_str().unwrap()]).unwrap();
+        let model = Slm::finetune(
+            SlmProfile::llama2(7.0),
+            &dda_core::Dataset::new(),
+            &PROGRESSIVE_ORDER,
+        );
+        let problems: Vec<_> = thakur_suite().into_iter().take(3).collect();
+        let ids: Vec<_> = problems.iter().map(|p| p.id).collect();
+        let run = |protocol: &GenProtocol| {
+            let sweep = flags.sweep("t", &(protocol, &ids));
+            let out = eval_suite(&model, &problems, protocol, &sweep).unwrap();
+            (out, sweep.journal.unwrap())
+        };
+        let first = GenProtocol::default();
+        let second = GenProtocol { seed: 5, ..first };
+        let ((_, s1), j1) = run(&first);
+        assert_eq!(s1.resumed, 0);
+        let ((rows, s2), j2) = run(&second);
+        assert_eq!(s2.resumed, 0, "a journal for other inputs was replayed");
+        let (fresh, _) = eval_suite(&model, &problems, &second, &SweepOptions::default()).unwrap();
+        assert_eq!(rows, fresh);
+        let ((_, again), _) = run(&first);
+        assert_eq!(again.resumed, problems.len());
+        for j in [j1, j2] {
+            std::fs::remove_file(j).ok();
+        }
     }
 }

@@ -2,11 +2,12 @@
 //! Fig. 7 case study), plus the extra design-choice ablations DESIGN.md
 //! commits to (mutation cap, training order, corpus size).
 
-use crate::generation::{eval_suite, success_rate, GenProtocol, GenRow};
+use crate::generation::GenProtocol;
+use crate::sweep::{eval_suite, success_rate, GenRow, SweepOptions};
 use dda_benchmarks::VerilogProblem;
 use dda_core::align::ALIGN_INSTRUCT;
 use dda_core::pipeline::{augment, PipelineOptions, StageSet};
-use dda_core::{Dataset, TaskKind};
+use dda_core::TaskKind;
 use dda_slm::{pretraining_dataset, GenOptions, Slm, SlmProfile, PROGRESSIVE_ORDER};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -84,6 +85,13 @@ pub fn fig7_case_study(prompt: &str, corpus_modules: usize, seed: u64) -> Vec<(R
         .collect()
 }
 
+/// One model's rows over `problems` on a single-worker, unjournaled sweep.
+fn suite_rows(model: &Slm, problems: &[VerilogProblem], protocol: &GenProtocol) -> Vec<GenRow> {
+    eval_suite(model, problems, protocol, &SweepOptions::default())
+        .expect("a sweep without a journal does no I/O")
+        .0
+}
+
 /// §4.2.2 numbers: success rate per regime on a problem suite.
 pub fn regime_success_rates(
     problems: &[VerilogProblem],
@@ -95,7 +103,7 @@ pub fn regime_success_rates(
         .iter()
         .map(|r| {
             let model = regime_model(*r, corpus_modules, seed);
-            let rows = eval_suite(&model, problems, protocol);
+            let rows = suite_rows(&model, problems, protocol);
             let rate = success_rate(&rows);
             (*r, rate, rows)
         })
@@ -157,8 +165,8 @@ pub fn order_ablation(
     let reversed: Vec<TaskKind> = PROGRESSIVE_ORDER.iter().rev().copied().collect();
     let m_prog = Slm::finetune_with_pretraining(profile.clone(), &pre, &ds, &PROGRESSIVE_ORDER);
     let m_rev = Slm::finetune_with_pretraining(profile, &pre, &ds, &reversed);
-    let r_prog = success_rate(&eval_suite(&m_prog, problems, protocol));
-    let r_rev = success_rate(&eval_suite(&m_rev, problems, protocol));
+    let r_prog = success_rate(&suite_rows(&m_prog, problems, protocol));
+    let r_rev = success_rate(&suite_rows(&m_rev, problems, protocol));
     (r_prog, r_rev)
 }
 
@@ -174,26 +182,9 @@ pub fn corpus_size_sweep(
         .iter()
         .map(|n| {
             let model = regime_model(Regime::Progressive, *n, seed);
-            (*n, success_rate(&eval_suite(&model, problems, protocol)))
+            (*n, success_rate(&suite_rows(&model, problems, protocol)))
         })
         .collect()
-}
-
-/// Builds a dataset of only the given stages over a fresh corpus (helper
-/// for benches).
-pub fn dataset_for(stages: StageSet, corpus_modules: usize, seed: u64) -> Dataset {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let corpus = dda_corpus::generate_corpus(corpus_modules, &mut rng);
-    let mut rng2 = SmallRng::seed_from_u64(seed ^ 0xAB);
-    augment(
-        &corpus,
-        &PipelineOptions {
-            stages,
-            ..PipelineOptions::default()
-        },
-        &mut rng2,
-    )
-    .0
 }
 
 #[cfg(test)]

@@ -1,19 +1,18 @@
-//! The EDA-tool agent loop of the paper's Fig. 1, sequential and parallel.
+//! The EDA-tool agent loop of the paper's Fig. 1.
 //!
 //! The paper motivates a chip-design LLM that "works like a human
 //! programmer by interacting with EDA tool feedback to remodify the
 //! Verilog": generate, run the checker, feed the diagnostics back through
-//! the repair pathway, and retry. This module implements that loop twice:
-//!
-//! * [`agent_episode`] — the original sequential episode (lint feedback
-//!   only, one candidate), kept verbatim as the historical reference that
-//!   `agent_vs_single` and the `agent` bench binary measure;
-//! * [`agent_batch`] / [`agent_batch_sequential`] — the pass@k **chain**
-//!   batch: each of `k` independent chains runs the full
-//!   generate → lint → simulate → feed-diagnostics → repair loop, and the
-//!   batch runs its chains as units on the `dda-runtime` supervised
-//!   engine (per-chain wall-clock deadlines, seeded retries), optionally
-//!   early-exiting as soon as the lowest-indexed passing chain commits.
+//! the repair pathway, and retry. This module implements that loop once,
+//! as the pass@k **chain** batch: each of `k` independent chains runs the
+//! full generate → lint → simulate → feed-diagnostics → repair loop.
+//! [`agent_batch`] runs the chains as units on the `dda-runtime`
+//! supervised engine (per-chain wall-clock deadlines, seeded retries),
+//! optionally early-exiting as soon as the lowest-indexed passing chain
+//! commits; [`agent_batch_sequential`] runs them in index order on the
+//! calling thread and is the reference the engine is held to. A k = 1
+//! batch at round budget 0 is single-shot generation, so one batch at
+//! budget 0 and at budget N measures what the loop buys.
 //!
 //! Determinism contract: with early-exit off, [`agent_batch`] is
 //! bit-identical to [`agent_batch_sequential`] for any worker count —
@@ -41,15 +40,13 @@
 //! speedup the same way it would in production — by overlapping waits.
 
 use crate::fnv1a;
-use crate::generation::{
-    run_testbench, run_testbench_verdict_with, testbench_sim_options, TestbenchVerdict,
-};
+use crate::generation::{run_testbench_verdict_with, testbench_sim_options, TestbenchVerdict};
 use dda_benchmarks::VerilogProblem;
 use dda_core::align::ALIGN_INSTRUCT;
 use dda_core::repair::REPAIR_INSTRUCT;
 use dda_lint::LintReport;
 use dda_runtime::{run_supervised, CancelToken, RetryPolicy, RunOptions, UnitOutcome};
-use dda_sim::{EvalMode, SimOptions};
+use dda_sim::SimOptions;
 use dda_slm::{GenOptions, Prompt, Slm};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -60,20 +57,6 @@ use std::time::Duration;
 
 /// Functional pass threshold shared by every agent scorer.
 const PASS_THRESHOLD: f64 = 1.0 - 1e-9;
-
-/// Outcome of one agent episode.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AgentOutcome {
-    /// Tool-feedback iterations consumed (1 = the first draft sufficed).
-    pub iterations: usize,
-    /// Whether the final candidate lints clean.
-    pub lint_clean: bool,
-    /// Functional pass rate of the final candidate.
-    pub function: f64,
-    /// Whether the repair loop (not the first draft) produced the final
-    /// clean candidate.
-    pub repaired_by_loop: bool,
-}
 
 /// Agent configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,10 +74,7 @@ pub struct AgentProtocol {
     /// plus API latency), and overlapping them is what the parallel batch
     /// buys; the in-process simulation makes that stall explicit so the
     /// benchmarks measure the same shape. A nonzero wait never changes an
-    /// outcome — chains sleep, they do not reschedule — and the stall is
-    /// honored by the chain batches ([`agent_batch`] and
-    /// [`agent_batch_sequential`]), not by the historical
-    /// [`agent_episode`] reference.
+    /// outcome — chains sleep, they do not reschedule.
     pub tool_wait: Duration,
 }
 
@@ -107,117 +87,6 @@ impl Default for AgentProtocol {
             tool_wait: Duration::ZERO,
         }
     }
-}
-
-/// Runs one generate → lint → repair episode against a problem prompt.
-///
-/// ```
-/// use dda_eval::{agent_episode, AgentProtocol};
-/// use dda_slm::{Slm, SlmProfile, PROGRESSIVE_ORDER};
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
-/// let corpus = dda_corpus::generate_corpus(8, &mut rng);
-/// let (data, _) = dda_core::pipeline::augment(
-///     &corpus,
-///     &dda_core::pipeline::PipelineOptions::default(),
-///     &mut rng,
-/// );
-/// let model = Slm::finetune(SlmProfile::llama2(13.0), &data, &PROGRESSIVE_ORDER);
-///
-/// let problem = &dda_benchmarks::thakur_suite()[0];
-/// let protocol = AgentProtocol::default();
-/// let out = agent_episode(&model, problem, 2, &protocol);
-/// assert!(out.iterations >= 1 && out.iterations <= 1 + protocol.max_feedback_iters);
-/// ```
-pub fn agent_episode(
-    model: &Slm,
-    problem: &VerilogProblem,
-    level: usize,
-    protocol: &AgentProtocol,
-) -> AgentOutcome {
-    let opts = GenOptions {
-        temperature: protocol.temperature,
-    };
-    let mut rng = SmallRng::seed_from_u64(
-        protocol.seed
-            ^ fnv1a(problem.id.bytes())
-            ^ ((level as u64) << 40)
-            ^ fnv1a(model.profile().name.bytes()),
-    );
-    // Draft and redraft sample one plan: the retrieval runs once.
-    let draft = model.prompt(ALIGN_INSTRUCT, &problem.prompts[level], &[]);
-    let mut candidate = draft.generate(&opts, &mut rng);
-    let file = format!("{}.v", problem.module_name);
-    let mut repaired_by_loop = false;
-    let mut iterations = 1;
-    for _ in 0..protocol.max_feedback_iters {
-        let report = dda_lint::check_source(&file, &candidate);
-        if report.is_clean() {
-            break;
-        }
-        iterations += 1;
-        // Fig. 6 layout: the tool transcript plus the rejected file.
-        let input = format!("{}, {}", report.render().trim_end(), candidate);
-        let fixed = model.generate(REPAIR_INSTRUCT, &input, &opts, &mut rng);
-        if dda_lint::check_source(&file, &fixed).is_clean() {
-            candidate = fixed;
-            repaired_by_loop = true;
-            break;
-        }
-        // Repair failed: redraft from the prompt with a fresh sample.
-        candidate = draft.generate(&opts, &mut rng);
-    }
-    let lint_clean = dda_lint::check_source(&file, &candidate).is_clean();
-    let function = if lint_clean {
-        run_testbench(problem, &candidate)
-    } else {
-        0.0
-    };
-    AgentOutcome {
-        iterations,
-        lint_clean,
-        function,
-        repaired_by_loop,
-    }
-}
-
-/// Compares single-shot (k = 1, no feedback) against the agent loop over a
-/// suite. Returns `(single_success, agent_success, mean_agent_iters)`
-/// where success = any prompt level reaching a 100% functional pass.
-pub fn agent_vs_single(
-    model: &Slm,
-    problems: &[VerilogProblem],
-    protocol: &AgentProtocol,
-) -> (f64, f64, f64) {
-    let single = AgentProtocol {
-        max_feedback_iters: 0,
-        ..*protocol
-    };
-    let mut single_ok = 0usize;
-    let mut agent_ok = 0usize;
-    let mut iters = 0usize;
-    let mut episodes = 0usize;
-    for p in problems {
-        let mut s = false;
-        let mut a = false;
-        for level in 0..p.prompts.len() {
-            let o1 = agent_episode(model, p, level, &single);
-            s |= o1.function >= 1.0 - 1e-9;
-            let o2 = agent_episode(model, p, level, protocol);
-            a |= o2.function >= 1.0 - 1e-9;
-            iters += o2.iterations;
-            episodes += 1;
-        }
-        single_ok += s as usize;
-        agent_ok += a as usize;
-    }
-    let n = problems.len().max(1) as f64;
-    (
-        single_ok as f64 / n,
-        agent_ok as f64 / n,
-        iters as f64 / episodes.max(1) as f64,
-    )
 }
 
 /// Options for one pass@k agent batch ([`agent_batch`] and its
@@ -241,8 +110,6 @@ pub struct AgentBatchOptions {
     /// Retry budget for chains (chains are deterministic, so this only
     /// matters under injected faults).
     pub retry: RetryPolicy,
-    /// Simulator engine for testbench scoring.
-    pub eval_mode: EvalMode,
 }
 
 impl Default for AgentBatchOptions {
@@ -254,7 +121,6 @@ impl Default for AgentBatchOptions {
             early_exit: false,
             chain_deadline: None,
             retry: RetryPolicy::none(),
-            eval_mode: EvalMode::default(),
         }
     }
 }
@@ -322,7 +188,7 @@ impl AgentBatchOutcome {
     }
 }
 
-/// Per-chain RNG seed: chain 0 reproduces [`agent_episode`]'s stream.
+/// Per-chain RNG seed, a function of `(seed, problem, level, model, chain)`.
 fn chain_seed(
     protocol: &AgentProtocol,
     model: &Slm,
@@ -435,8 +301,7 @@ fn run_chain(
     };
     let mut rng = SmallRng::seed_from_u64(chain_seed(&opts.protocol, model, problem, level, chain));
     let file = format!("{}.v", problem.module_name);
-    let mut sim = testbench_sim_options(cancel);
-    sim.eval_mode = opts.eval_mode;
+    let sim = testbench_sim_options(cancel);
 
     let mut candidate = draft.generate(&gen, &mut rng);
     tool_stall(&opts.protocol, cancel);
@@ -749,42 +614,43 @@ mod tests {
         )
     }
 
+    /// The chain at round budget 0 is single-shot generation: it drafts
+    /// with the same seed and scores the same first draft at every budget,
+    /// so a chain that passes at budget 0 passes at every larger budget.
+    /// Every chain also stays within its budget, and a lint-dirty final
+    /// candidate scores zero.
     #[test]
-    fn episodes_terminate_and_report() {
+    fn feedback_rounds_never_lose_a_single_shot_pass() {
         let m = model();
         let suite = thakur_suite();
-        let protocol = AgentProtocol::default();
-        for p in suite.iter().take(4) {
-            let o = agent_episode(&m, p, 2, &protocol);
-            assert!(o.iterations >= 1);
-            assert!(o.iterations <= 1 + protocol.max_feedback_iters);
-            if !o.lint_clean {
-                assert_eq!(o.function, 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn feedback_loop_never_hurts_lint_rate() {
-        let m = model();
-        let suite = thakur_suite();
-        let protocol = AgentProtocol::default();
-        let single = AgentProtocol {
-            max_feedback_iters: 0,
-            ..protocol
+        let batch = |p, rounds| {
+            let opts = AgentBatchOptions {
+                k: 3,
+                protocol: AgentProtocol {
+                    max_feedback_iters: rounds,
+                    ..AgentProtocol::default()
+                },
+                ..AgentBatchOptions::default()
+            };
+            agent_batch_sequential(&m, p, 2, &[], &opts)
         };
-        let mut single_clean = 0;
-        let mut agent_clean = 0;
+        let mut single_passes = 0;
         for p in suite.iter().take(8) {
-            let s = agent_episode(&m, p, 2, &single);
-            let a = agent_episode(&m, p, 2, &protocol);
-            single_clean += s.lint_clean as usize;
-            agent_clean += a.lint_clean as usize;
+            let single = batch(p, 0);
+            for rounds in 0..=3 {
+                for (s, c) in single.chains.iter().zip(&batch(p, rounds).chains) {
+                    assert!((1..=1 + rounds).contains(&c.rounds), "{}: {c:?}", p.id);
+                    assert!(c.lint_clean || c.function == 0.0, "{}: {c:?}", p.id);
+                    assert!(
+                        !s.passed() || c.passed(),
+                        "{} {rounds}: {s:?} -> {c:?}",
+                        p.id
+                    );
+                }
+            }
+            single_passes += single.chains.iter().filter(|c| c.passed()).count();
         }
-        assert!(
-            agent_clean >= single_clean,
-            "agent {agent_clean} < single {single_clean}"
-        );
+        assert!(single_passes > 0, "no chain passed single-shot");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use dda_benchmarks::{parse_result, VerilogProblem};
 use dda_core::align::ALIGN_INSTRUCT;
 use dda_runtime::CancelToken;
 use dda_sim::cache::{shared_design, FrontendError};
-use dda_sim::{EvalMode, SimOptions, Simulator};
+use dda_sim::{SimOptions, Simulator};
 use dda_slm::{GenOptions, Slm};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -40,22 +40,6 @@ impl GenCell {
     }
 }
 
-/// Per-problem result: one cell per prompt level.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GenRow {
-    /// Problem id (table row label).
-    pub id: &'static str,
-    /// Cells in prompt-level order.
-    pub cells: Vec<GenCell>,
-}
-
-impl GenRow {
-    /// Success = any level reached a 100% functional pass.
-    pub fn is_success(&self) -> bool {
-        self.cells.iter().any(GenCell::is_success)
-    }
-}
-
 /// Protocol options.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenProtocol {
@@ -65,9 +49,6 @@ pub struct GenProtocol {
     pub temperature: f64,
     /// Base seed; sample `i` of cell `c` uses a derived seed.
     pub seed: u64,
-    /// Simulator execution engine (bytecode by default; `Ast` reproduces
-    /// the reference interpreter for differential runs).
-    pub eval_mode: EvalMode,
 }
 
 impl Default for GenProtocol {
@@ -76,7 +57,6 @@ impl Default for GenProtocol {
             k: 5,
             temperature: 0.1,
             seed: 99,
-            eval_mode: EvalMode::default(),
         }
     }
 }
@@ -158,7 +138,7 @@ pub fn run_testbench_verdict(problem: &VerilogProblem, generated: &str) -> Testb
 }
 
 /// [`run_testbench_verdict`] with caller-supplied [`SimOptions`] — the
-/// supervised sweeps use this to thread a deadline-bearing
+/// sweeps use this to thread a deadline-bearing
 /// [`CancelToken`] into the simulator's exec loop.
 pub fn run_testbench_verdict_with(
     problem: &VerilogProblem,
@@ -261,7 +241,7 @@ pub fn eval_cell(
 /// [`eval_cell`] with a supervising [`CancelToken`]: each testbench run
 /// inherits the token, so a tripped deadline cuts the simulation short
 /// with a wall-timeout verdict instead of hanging the sweep.
-pub fn eval_cell_with(
+pub(crate) fn eval_cell_with(
     model: &Slm,
     problem: &VerilogProblem,
     level: usize,
@@ -269,8 +249,7 @@ pub fn eval_cell_with(
     cancel: &CancelToken,
 ) -> GenCell {
     let samples = cell_samples(model, problem, level, protocol);
-    let mut sim_opts = testbench_sim_options(cancel);
-    sim_opts.eval_mode = protocol.eval_mode;
+    let sim_opts = testbench_sim_options(cancel);
     let (syntax_errors, best_function) = score_samples(problem, &samples, "gen.v", &sim_opts);
     GenCell {
         syntax_errors,
@@ -305,27 +284,6 @@ pub fn cell_samples(
             plan.generate(&opts, &mut rng)
         })
         .collect()
-}
-
-/// Evaluates a model over a whole suite.
-pub fn eval_suite(model: &Slm, problems: &[VerilogProblem], protocol: &GenProtocol) -> Vec<GenRow> {
-    problems
-        .iter()
-        .map(|p| GenRow {
-            id: p.id,
-            cells: (0..p.prompts.len())
-                .map(|l| eval_cell(model, p, l, protocol))
-                .collect(),
-        })
-        .collect()
-}
-
-/// Fraction of rows that succeeded.
-pub fn success_rate(rows: &[GenRow]) -> f64 {
-    if rows.is_empty() {
-        return 0.0;
-    }
-    rows.iter().filter(|r| r.is_success()).count() as f64 / rows.len() as f64
 }
 
 #[cfg(test)]
@@ -393,32 +351,5 @@ mod tests {
         assert!((best_rate(p, &clean, &opts) - 1.0).abs() < 1e-9);
         assert!((best_rate(p, &[constant, constant], &opts) - 0.5).abs() < 1e-9);
         assert_eq!(best_rate(p, &[], &opts), 0.0);
-    }
-
-    #[test]
-    fn success_rate_counts_full_passes() {
-        let rows = vec![
-            GenRow {
-                id: "a",
-                cells: vec![
-                    GenCell {
-                        syntax_errors: 0,
-                        best_function: 1.0,
-                    },
-                    GenCell {
-                        syntax_errors: 5,
-                        best_function: 0.0,
-                    },
-                ],
-            },
-            GenRow {
-                id: "b",
-                cells: vec![GenCell {
-                    syntax_errors: 0,
-                    best_function: 0.9,
-                }],
-            },
-        ];
-        assert!((success_rate(&rows) - 0.5).abs() < 1e-9);
     }
 }

@@ -10,6 +10,7 @@
 
 use crate::fnv1a;
 use crate::generation::{score_samples, testbench_sim_options};
+use crate::rag::RagIndex;
 use dda_benchmarks::VerilogProblem;
 use dda_core::repair::{break_verilog, RepairOptions, REPAIR_INSTRUCT};
 use dda_runtime::CancelToken;
@@ -44,8 +45,6 @@ pub struct RepairProtocol {
     pub seed: u64,
     /// Mutation cap used when deriving the broken input.
     pub max_mutations: usize,
-    /// Simulator execution engine for the function-scoring runs.
-    pub eval_mode: dda_sim::EvalMode,
 }
 
 impl Default for RepairProtocol {
@@ -55,7 +54,6 @@ impl Default for RepairProtocol {
             temperature: 0.1,
             seed: 424,
             max_mutations: 3,
-            eval_mode: dda_sim::EvalMode::default(),
         }
     }
 }
@@ -88,51 +86,24 @@ pub fn broken_input(problem: &VerilogProblem, protocol: &RepairProtocol) -> (Str
 
 /// Evaluates one model on one problem.
 pub fn eval_repair(model: &Slm, problem: &VerilogProblem, protocol: &RepairProtocol) -> RepairCell {
-    eval_repair_with(model, problem, protocol, &CancelToken::new())
+    eval_repair_with(model, problem, protocol, None, &CancelToken::new())
 }
 
-/// [`eval_repair`] with a supervising [`CancelToken`] threaded into each
-/// testbench simulation (see [`crate::supervised`]).
-pub fn eval_repair_with(
+/// [`eval_repair`] with optional retrieval augmentation and a supervising
+/// [`CancelToken`] threaded into each testbench simulation. With `rag`, the
+/// `k` corpus modules nearest the broken input (diagnostics + wrong file)
+/// are injected as few-shot context through [`Slm::prompt`]; `k = 0` is
+/// bit-identical to `None`, so Table 3's RAG-vs-no-RAG delta isolates
+/// retrieval.
+pub(crate) fn eval_repair_with(
     model: &Slm,
     problem: &VerilogProblem,
     protocol: &RepairProtocol,
-    cancel: &CancelToken,
-) -> RepairCell {
-    eval_repair_ctx(model, problem, protocol, None, cancel)
-}
-
-/// [`eval_repair`] with retrieval augmentation: the `k` corpus modules
-/// nearest the broken input (diagnostics + wrong file) are injected as
-/// few-shot context through [`Slm::generate_with_context`]. `k = 0` is
-/// bit-identical to [`eval_repair`], so Table 3's RAG-vs-no-RAG delta
-/// isolates retrieval.
-pub fn eval_repair_rag(
-    model: &Slm,
-    problem: &VerilogProblem,
-    protocol: &RepairProtocol,
-    rag: &crate::rag::RagIndex,
-    rag_k: usize,
-) -> RepairCell {
-    eval_repair_ctx(
-        model,
-        problem,
-        protocol,
-        Some((rag, rag_k)),
-        &CancelToken::new(),
-    )
-}
-
-fn eval_repair_ctx(
-    model: &Slm,
-    problem: &VerilogProblem,
-    protocol: &RepairProtocol,
-    rag: Option<(&crate::rag::RagIndex, usize)>,
+    rag: Option<(&RagIndex, usize)>,
     cancel: &CancelToken,
 ) -> RepairCell {
     let samples = repair_samples(model, problem, protocol, rag);
-    let mut sim_opts = testbench_sim_options(cancel);
-    sim_opts.eval_mode = protocol.eval_mode;
+    let sim_opts = testbench_sim_options(cancel);
     let (syntax_errors, best_function) = score_samples(problem, &samples, "fix.v", &sim_opts);
     RepairCell {
         syntax_errors,
@@ -141,12 +112,13 @@ fn eval_repair_ctx(
 }
 
 /// The `k` raw repairs of one problem in sample order: the outputs
-/// [`eval_repair`] (or, with `rag`, [`eval_repair_rag`]) lints and scores.
+/// [`eval_repair`] (or, with `rag`, [`crate::eval_repair_suite`]) lints
+/// and scores.
 pub fn repair_samples(
     model: &Slm,
     problem: &VerilogProblem,
     protocol: &RepairProtocol,
-    rag: Option<(&crate::rag::RagIndex, usize)>,
+    rag: Option<(&RagIndex, usize)>,
 ) -> Vec<String> {
     let (input, _) = broken_input(problem, protocol);
     let context = match rag {
@@ -168,41 +140,6 @@ pub fn repair_samples(
             plan.generate(&opts, &mut rng)
         })
         .collect()
-}
-
-/// Per-problem rows for a model over a suite with retrieval augmentation
-/// (see [`eval_repair_rag`]).
-pub fn eval_repair_suite_rag(
-    model: &Slm,
-    problems: &[VerilogProblem],
-    protocol: &RepairProtocol,
-    rag: &crate::rag::RagIndex,
-    rag_k: usize,
-) -> Vec<(&'static str, RepairCell)> {
-    problems
-        .iter()
-        .map(|p| (p.id, eval_repair_rag(model, p, protocol, rag, rag_k)))
-        .collect()
-}
-
-/// Per-problem rows for a model over a suite.
-pub fn eval_repair_suite(
-    model: &Slm,
-    problems: &[VerilogProblem],
-    protocol: &RepairProtocol,
-) -> Vec<(&'static str, RepairCell)> {
-    problems
-        .iter()
-        .map(|p| (p.id, eval_repair(model, p, protocol)))
-        .collect()
-}
-
-/// Success rate over rows (fraction of fully repaired designs).
-pub fn repair_success_rate(rows: &[(&'static str, RepairCell)]) -> f64 {
-    if rows.is_empty() {
-        return 0.0;
-    }
-    rows.iter().filter(|(_, c)| c.is_success()).count() as f64 / rows.len() as f64
 }
 
 #[cfg(test)]
@@ -277,13 +214,13 @@ mod tests {
             &PROGRESSIVE_ORDER,
         );
         let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
-        let rag = crate::rag::RagIndex::build(dda_corpus::generate_corpus(12, &mut rng));
+        let rag = RagIndex::build(dda_corpus::generate_corpus(12, &mut rng));
         let suite = rtllm_suite();
         let protocol = RepairProtocol::default();
         for id in ["adder_8bit", "mux", "counter_12"] {
             let p = suite.iter().find(|p| p.id == id).unwrap();
             let plain = eval_repair(&model, p, &protocol);
-            let k0 = eval_repair_rag(&model, p, &protocol, &rag, 0);
+            let k0 = eval_repair_with(&model, p, &protocol, Some((&rag, 0)), &CancelToken::new());
             assert_eq!(plain.syntax_errors, k0.syntax_errors, "{id}");
             assert_eq!(
                 plain.best_function.to_bits(),
@@ -315,12 +252,13 @@ mod tests {
                 source: p.reference.to_string(),
             })
             .collect();
-        let rag = crate::rag::RagIndex::build(modules);
+        let rag = RagIndex::build(modules);
         let protocol = RepairProtocol::default();
         let mut lifted = 0usize;
         for p in suite.iter().take(8) {
             let plain = eval_repair(&model, p, &protocol);
-            let with_rag = eval_repair_rag(&model, p, &protocol, &rag, 2);
+            let with_rag =
+                eval_repair_with(&model, p, &protocol, Some((&rag, 2)), &CancelToken::new());
             assert!(
                 with_rag.syntax_errors <= plain.syntax_errors,
                 "{}: RAG added syntax errors ({} > {})",

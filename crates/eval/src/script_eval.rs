@@ -81,18 +81,6 @@ pub fn eval_script(model: &Slm, task: &ScTask, protocol: &ScriptProtocol) -> Scr
     }
 }
 
-/// Evaluates a model over all five tasks.
-pub fn eval_script_suite(
-    model: &Slm,
-    tasks: &[ScTask],
-    protocol: &ScriptProtocol,
-) -> Vec<(String, ScriptCell)> {
-    tasks
-        .iter()
-        .map(|t| (t.level.label().to_owned(), eval_script(model, t, protocol)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,10 +103,12 @@ mod tests {
     fn trained_model_solves_every_level_first_try_or_nearly() {
         let model = eda_trained_model();
         let protocol = ScriptProtocol::default();
-        for (label, cell) in eval_script_suite(&model, &sc_suite(), &protocol) {
+        for task in sc_suite() {
+            let cell = eval_script(&model, &task, &protocol);
             assert!(
                 cell.func_iter.map(|i| i <= 2).unwrap_or(false),
-                "{label}: {cell:?}"
+                "{}: {cell:?}",
+                task.level.label()
             );
         }
     }
@@ -131,9 +121,12 @@ mod tests {
             &PROGRESSIVE_ORDER,
         );
         let protocol = ScriptProtocol::default();
-        let rows = eval_script_suite(&model, &sc_suite(), &protocol);
-        let misses = rows.iter().filter(|(_, c)| c.func_iter.is_none()).count();
-        assert!(misses >= 4, "only {misses}/5 missed: {rows:?}");
+        let cells: Vec<_> = sc_suite()
+            .iter()
+            .map(|t| eval_script(&model, t, &protocol))
+            .collect();
+        let misses = cells.iter().filter(|c| c.func_iter.is_none()).count();
+        assert!(misses >= 4, "only {misses}/5 missed: {cells:?}");
     }
 
     #[test]

@@ -14,14 +14,12 @@
 //!    (rounds, chains, winner). The recorder is process-global, so every
 //!    test in this binary holds `OBS_LOCK`: a batch running beside the
 //!    reconcile test would otherwise land in its counters.
-//! 4. **Engine invariance**: the AST and bytecode engines change
-//!    wall-clock only, never an outcome.
 
 use dda_benchmarks::thakur_suite;
 use dda_eval::rag::RagIndex;
 use dda_eval::{
     agent_batch, agent_batch_sequential, AgentBatchOptions, AgentBatchOutcome, AgentProtocol,
-    EvalMode, ModelId, ModelZoo, ZooOptions,
+    ModelId, ModelZoo, ZooOptions,
 };
 use dda_slm::Slm;
 use proptest::prelude::*;
@@ -173,24 +171,6 @@ fn early_exit_commit_is_worker_invariant() {
                 assert_eq!(c.rounds, 0, "cancelled chains report canonical shape");
             }
         }
-    }
-}
-
-/// The simulator engine is a differential knob, not a semantic one:
-/// outcomes are bit-identical under the AST interpreter and the bytecode
-/// engine.
-#[test]
-fn engine_choice_cannot_change_outcomes() {
-    let _g = serial();
-    let suite = thakur_suite();
-    let problem = &suite[2];
-    let base = opts(3, 2, 2, false);
-    let reference = agent_batch(model(), problem, 2, &[], &base);
-    for mode in [EvalMode::Ast, EvalMode::Bytecode] {
-        let mut o = base.clone();
-        o.eval_mode = mode;
-        let got = agent_batch(model(), problem, 2, &[], &o);
-        assert_bit_identical(&got, &reference, &format!("mode={mode:?}"));
     }
 }
 

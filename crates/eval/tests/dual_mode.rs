@@ -1,17 +1,43 @@
-//! Sweep-level engine equivalence: a full pass@k evaluation must produce
-//! byte-identical rows whether testbenches run on the AST interpreter or
-//! the bytecode engine. This is the integration-level counterpart of the
-//! per-program battery in `dda-sim/tests/eval_modes.rs` — if the engines
-//! ever diverge on any generated candidate (including syntactically valid
-//! but semantically wrong ones), a table cell changes and this fails.
+//! Engine equivalence on every candidate the sweeps score: each sample
+//! `cell_samples` draws for a Table 5 cell and each repair
+//! `repair_samples` draws for a Table 3 problem must get the same
+//! testbench verdict from the AST interpreter and the bytecode engine.
+//! The sweeps always score on bytecode; `SimOptions::eval_mode` stays a
+//! `dda-sim`-level reference switch, and this suite holds the two engines
+//! to one verdict on the generated (often semantically wrong) candidates
+//! the tables actually see. The per-program battery is
+//! `dda-sim/tests/eval_modes.rs`.
 
-use dda_benchmarks::{rtllm_suite, thakur_suite};
-use dda_eval::repair_eval::{eval_repair_suite, RepairProtocol};
-use dda_eval::{eval_suite, EvalMode, GenProtocol, ModelId, ModelZoo, ZooOptions};
+use dda_benchmarks::{rtllm_suite, thakur_suite, VerilogProblem};
+use dda_eval::generation::testbench_sim_options;
+use dda_eval::{
+    cell_samples, repair_samples, run_testbench_verdict_with, GenProtocol, ModelId, ModelZoo,
+    RepairProtocol, TestbenchVerdict, ZooOptions,
+};
+use dda_runtime::CancelToken;
+use dda_sim::{EvalMode, SimOptions};
 use dda_slm::{Slm, SlmProfile, PROGRESSIVE_ORDER};
 
+/// Asserts both engines give each sample the same verdict; returns the
+/// bytecode verdicts.
+fn verdicts(problem: &VerilogProblem, samples: &[String]) -> Vec<TestbenchVerdict> {
+    let opts = |eval_mode| SimOptions {
+        eval_mode,
+        ..testbench_sim_options(&CancelToken::new())
+    };
+    samples
+        .iter()
+        .map(|s| {
+            let ast = run_testbench_verdict_with(problem, s, &opts(EvalMode::Ast));
+            let byte = run_testbench_verdict_with(problem, s, &opts(EvalMode::Bytecode));
+            assert_eq!(ast, byte, "{}: engines disagree on\n{s}", problem.id);
+            byte
+        })
+        .collect()
+}
+
 #[test]
-fn generation_sweep_is_engine_invariant() {
+fn every_generation_sample_gets_one_verdict_from_both_engines() {
     // A real augmentation-trained model, so some candidates actually pass
     // their testbenches (retrieval needs a non-empty finetune set).
     let zoo = ModelZoo::build(&ZooOptions {
@@ -20,32 +46,22 @@ fn generation_sweep_is_engine_invariant() {
         ..ZooOptions::default()
     });
     let m = zoo.model(ModelId::Ours13B);
-    let problems: Vec<_> = thakur_suite().into_iter().take(5).collect();
-    let run = |mode: EvalMode| {
-        eval_suite(
-            m,
-            &problems,
-            &GenProtocol {
-                k: 3,
-                eval_mode: mode,
-                ..GenProtocol::default()
-            },
-        )
+    let protocol = GenProtocol {
+        k: 3,
+        ..GenProtocol::default()
     };
-    let ast = run(EvalMode::Ast);
-    let byte = run(EvalMode::Bytecode);
-    assert_eq!(ast, byte);
-    // Sanity: the sweep exercised the simulator (some candidate scored).
-    assert!(
-        byte.iter()
-            .flat_map(|r| &r.cells)
-            .any(|c| c.best_function > 0.0),
-        "sweep never reached functional scoring: {byte:?}"
-    );
+    let mut all = Vec::new();
+    for p in thakur_suite().iter().take(5) {
+        for level in 0..p.prompts.len() {
+            all.extend(verdicts(p, &cell_samples(m, p, level, &protocol)));
+        }
+    }
+    let scored = all.iter().any(|v| v.pass_rate() > 0.0);
+    assert!(scored, "no sample reached functional scoring: {all:?}");
 }
 
 #[test]
-fn repair_sweep_is_engine_invariant() {
+fn every_repair_sample_gets_one_verdict_from_both_engines() {
     // Repair runs lint-guided search on the broken input, so a skill-floor
     // mock is enough to reach functional scoring — no dataset needed.
     let m = Slm::finetune(
@@ -57,22 +73,11 @@ fn repair_sweep_is_engine_invariant() {
         &dda_core::Dataset::new(),
         &PROGRESSIVE_ORDER,
     );
-    let problems: Vec<_> = rtllm_suite().into_iter().take(5).collect();
-    let run = |mode: EvalMode| {
-        eval_repair_suite(
-            &m,
-            &problems,
-            &RepairProtocol {
-                eval_mode: mode,
-                ..RepairProtocol::default()
-            },
-        )
-    };
-    let ast = run(EvalMode::Ast);
-    let byte = run(EvalMode::Bytecode);
-    assert_eq!(ast, byte);
-    assert!(
-        byte.iter().any(|(_, c)| c.best_function > 0.0),
-        "sweep never reached functional scoring: {byte:?}"
-    );
+    let protocol = RepairProtocol::default();
+    let mut all = Vec::new();
+    for p in rtllm_suite().iter().take(5) {
+        all.extend(verdicts(p, &repair_samples(&m, p, &protocol, None)));
+    }
+    let scored = all.iter().any(|v| v.pass_rate() > 0.0);
+    assert!(scored, "no repair reached functional scoring: {all:?}");
 }

@@ -8,7 +8,7 @@
 
 use dda_benchmarks::thakur_suite;
 use dda_eval::report::{pct, TextTable};
-use dda_eval::{eval_suite, GenProtocol, GenRow};
+use dda_eval::{eval_suite, GenProtocol, GenRow, SweepOptions};
 use dda_slm::{Slm, SlmProfile, PROGRESSIVE_ORDER};
 use rand::SeedableRng;
 
@@ -28,7 +28,7 @@ fn render(rows: &[GenRow]) -> String {
     let mut table = TextTable::new(["Problem", "L1", "L2", "L3", "Pass"]);
     for r in rows {
         let mut cells = vec![r.id.to_string()];
-        cells.extend(r.cells.iter().map(|c| pct(c.best_function)));
+        cells.extend(r.result.iter().flatten().map(|c| pct(c.best_function)));
         cells.push(if r.is_success() { "yes" } else { "no" }.into());
         table.row(cells);
     }
@@ -43,9 +43,10 @@ fn eval_rows_are_identical_across_retrieval_paths() {
         k: 3,
         ..GenProtocol::default()
     };
-    let fast = eval_suite(&model, &problems, &protocol);
+    let sweep = SweepOptions::default();
+    let fast = eval_suite(&model, &problems, &protocol, &sweep).unwrap().0;
     model.set_reference_retrieval(true);
-    let reference = eval_suite(&model, &problems, &protocol);
+    let reference = eval_suite(&model, &problems, &protocol, &sweep).unwrap().0;
     assert_eq!(fast, reference, "sweep rows diverged between query paths");
     let fast_table = render(&fast);
     let ref_table = render(&reference);
@@ -57,7 +58,7 @@ fn eval_rows_are_identical_across_retrieval_paths() {
     // Sanity: the sweep actually exercised retrieval-backed generation.
     assert!(
         fast.iter()
-            .flat_map(|r| &r.cells)
+            .flat_map(|r| r.result.iter().flatten())
             .any(|c| c.best_function > 0.0),
         "sweep never reached functional scoring: {fast:?}"
     );

@@ -58,7 +58,11 @@ pub struct SimOptions {
     /// [`RunErrorKind::WallTimeout`] when it trips. The default token
     /// never trips, so untimed runs pay only an occasional atomic load.
     pub cancel: CancelToken,
-    /// Which execution engine to use (bytecode by default).
+    /// Which execution engine to use (bytecode by default). This is the
+    /// reference switch of `dda-sim` alone: the evaluation harness and the
+    /// table binaries always run bytecode, and the engine-equivalence
+    /// tests and perf benches select [`EvalMode::Ast`] to hold bytecode to
+    /// the interpreter.
     pub eval_mode: EvalMode,
 }
 

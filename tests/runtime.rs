@@ -1,23 +1,25 @@
 //! Resume-determinism tests for the supervised engine wiring: a journaled
 //! run interrupted at a seeded random unit must resume to output that is
-//! byte-identical to an uninterrupted run, for worker counts 1, 2, and 8.
+//! byte-identical to an uninterrupted run, for worker counts 1, 2, and 8 —
+//! the augmentation and every eval sweep, so each journal codec replays.
 
 use chipdda::core::json::to_jsonl;
 use chipdda::core::pipeline::PipelineOptions;
 use chipdda::core::supervised::{augment_supervised, SupervisedOptions};
 use chipdda::core::{Dataset, TaskKind};
-use chipdda::eval::supervised::{eval_suite_supervised, SweepOptions};
-use chipdda::eval::GenProtocol;
+use chipdda::eval::{
+    eval_repair_suite, eval_script_suite, eval_suite, GenProtocol, RagIndex, RepairProtocol,
+    ScriptProtocol, SweepOptions,
+};
 use chipdda::runtime::RunOptions;
 use chipdda::slm::{Slm, SlmProfile, PROGRESSIVE_ORDER};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::fmt::Debug;
 use std::path::PathBuf;
 
 fn tmp(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("dda-int-runtime-{}-{name}", std::process::id()));
-    p
+    std::env::temp_dir().join(format!("dda-int-runtime-{}-{name}", std::process::id()))
 }
 
 fn opts() -> PipelineOptions {
@@ -38,6 +40,46 @@ fn dataset_bytes(ds: &Dataset) -> String {
     out
 }
 
+/// Runs `run` journaled at `name`, then for each worker count truncates
+/// the journal to its first k records (k seeded from `seed`), resumes,
+/// and asserts the output equals the uninterrupted run's and exactly k
+/// units were replayed. `run` returns its output and the replayed-unit
+/// count; the helper returns the journal's unit count.
+fn assert_resumes<R: PartialEq + Debug>(
+    name: &str,
+    seed: u64,
+    run: impl Fn(&SweepOptions) -> (R, usize),
+) -> usize {
+    let path = tmp(name);
+    let _ = std::fs::remove_file(&path);
+    let (full, _) = run(&SweepOptions {
+        journal: Some(path.clone()),
+        ..SweepOptions::default()
+    });
+    let full_journal = std::fs::read_to_string(&path).unwrap();
+    let units = full_journal.lines().count();
+
+    for workers in [1usize, 2, 8] {
+        // Seeded random interruption point, distinct per worker count.
+        let k = SmallRng::seed_from_u64(seed + workers as u64).gen_range(1..units);
+        let kept: Vec<&str> = full_journal.lines().take(k).collect();
+        std::fs::write(&path, format!("{}\n", kept.join("\n"))).unwrap();
+
+        let (out, resumed) = run(&SweepOptions {
+            run: RunOptions {
+                workers,
+                ..RunOptions::default()
+            },
+            journal: Some(path.clone()),
+            resume: true,
+        });
+        assert_eq!(out, full, "{name} workers={workers} interrupted at k={k}");
+        assert_eq!(resumed, k, "{name} workers={workers}");
+    }
+    std::fs::remove_file(&path).ok();
+    units
+}
+
 /// Interrupts a journaled augmentation at a seeded random unit k (by
 /// truncating the journal to its first k records), resumes with each
 /// worker count, and asserts the result is byte-identical to the
@@ -45,54 +87,36 @@ fn dataset_bytes(ds: &Dataset) -> String {
 #[test]
 fn interrupted_augmentation_resumes_byte_identical() {
     let corpus = chipdda::corpus::generate_corpus(10, &mut SmallRng::seed_from_u64(31));
-    let path = tmp("augment-resume");
-    let _ = std::fs::remove_file(&path);
-
-    let journaled = SupervisedOptions {
-        journal: Some(path.clone()),
-        ..SupervisedOptions::default()
-    };
-    let (full_ds, full_report, _) = augment_supervised(&corpus, &opts(), &journaled).unwrap();
-    let full_journal = std::fs::read_to_string(&path).unwrap();
-    let units = full_journal.lines().count();
-    assert_eq!(units, corpus.len() + 1, "one journal record per unit");
-
-    for workers in [1usize, 2, 8] {
-        // Seeded random interruption point, distinct per worker count.
-        let k = SmallRng::seed_from_u64(0xC0DE + workers as u64).gen_range(1..units);
-        let kept: Vec<&str> = full_journal.lines().take(k).collect();
-        std::fs::write(&path, format!("{}\n", kept.join("\n"))).unwrap();
-
-        let resumed = SupervisedOptions {
-            run: RunOptions {
-                workers,
-                ..RunOptions::default()
-            },
-            journal: Some(path.clone()),
-            resume: true,
+    let units = assert_resumes("augment-resume", 0xC0DE, |sweep| {
+        let sup = SupervisedOptions {
+            run: sweep.run.clone(),
+            journal: sweep.journal.clone(),
+            resume: sweep.resume,
             ..SupervisedOptions::default()
         };
-        let (ds, report, summary) = augment_supervised(&corpus, &opts(), &resumed).unwrap();
-        assert_eq!(summary.resumed, k, "workers={workers}");
-        assert_eq!(
-            dataset_bytes(&ds),
-            dataset_bytes(&full_ds),
-            "workers={workers} interrupted at k={k}"
-        );
-        assert_eq!(report, full_report, "workers={workers}");
-    }
-    std::fs::remove_file(&path).ok();
+        let (ds, report, summary) = augment_supervised(&corpus, &opts(), &sup).unwrap();
+        ((dataset_bytes(&ds), report), summary.resumed)
+    });
+    assert_eq!(units, corpus.len() + 1, "one journal record per unit");
 }
 
-/// The same property for an eval sweep: interrupt mid-sweep, resume with
-/// 1/2/8 workers, identical rows.
-#[test]
-fn interrupted_eval_sweep_resumes_byte_identical() {
-    let model = Slm::finetune(
-        SlmProfile::llama2(7.0),
+fn untrained(name: &str) -> Slm {
+    Slm::finetune(
+        SlmProfile {
+            name: name.into(),
+            floor_repair: 0.5,
+            ..SlmProfile::llama2(7.0)
+        },
         &chipdda::core::Dataset::new(),
         &PROGRESSIVE_ORDER,
-    );
+    )
+}
+
+/// The same property for the generation sweep: interrupt mid-sweep,
+/// resume with 1/2/8 workers, identical rows.
+#[test]
+fn interrupted_eval_sweep_resumes_byte_identical() {
+    let model = untrained("resume-generator");
     let problems: Vec<_> = chipdda::benchmarks::thakur_suite()
         .into_iter()
         .take(4)
@@ -101,35 +125,55 @@ fn interrupted_eval_sweep_resumes_byte_identical() {
         k: 1,
         ..GenProtocol::default()
     };
-    let path = tmp("eval-resume");
-    let _ = std::fs::remove_file(&path);
+    assert_resumes("eval-resume", 0xE7A1, |sweep| {
+        let (rows, summary) = eval_suite(&model, &problems, &protocol, sweep).unwrap();
+        (rows, summary.resumed)
+    });
+}
 
-    let journaled = SweepOptions {
-        journal: Some(path.clone()),
-        ..SweepOptions::default()
+/// The repair sweep, plain and retrieval-augmented: each journal replays
+/// to the uninterrupted rows.
+#[test]
+fn interrupted_repair_sweeps_resume_byte_identical() {
+    let model = untrained("resume-fixer");
+    let problems: Vec<_> = chipdda::benchmarks::rtllm_suite()
+        .into_iter()
+        .take(4)
+        .collect();
+    let protocol = RepairProtocol {
+        k: 2,
+        ..RepairProtocol::default()
     };
-    let (full_rows, _) = eval_suite_supervised(&model, &problems, &protocol, &journaled).unwrap();
-    let full_journal = std::fs::read_to_string(&path).unwrap();
-
-    for workers in [1usize, 2, 8] {
-        let k = SmallRng::seed_from_u64(0xE7A1 + workers as u64).gen_range(1..problems.len());
-        let kept: Vec<&str> = full_journal.lines().take(k).collect();
-        std::fs::write(&path, format!("{}\n", kept.join("\n"))).unwrap();
-
-        let resumed = SweepOptions {
-            run: RunOptions {
-                workers,
-                ..RunOptions::default()
-            },
-            journal: Some(path.clone()),
-            resume: true,
-        };
-        let (rows, summary) =
-            eval_suite_supervised(&model, &problems, &protocol, &resumed).unwrap();
-        assert_eq!(rows, full_rows, "workers={workers} k={k}");
-        assert_eq!(summary.resumed, k, "workers={workers}");
+    let rag = RagIndex::build(chipdda::corpus::generate_corpus(
+        8,
+        &mut SmallRng::seed_from_u64(4242),
+    ));
+    for (name, rag) in [
+        ("repair-resume", None),
+        ("repair-rag-resume", Some((&rag, 2))),
+    ] {
+        assert_resumes(name, 0x4E9A, |sweep| {
+            let (rows, summary) =
+                eval_repair_suite(&model, &problems, &protocol, rag, sweep).unwrap();
+            (rows, summary.resumed)
+        });
     }
-    std::fs::remove_file(&path).ok();
+}
+
+/// The script sweep: its `<syn>:<func>` codec replays to the
+/// uninterrupted rows.
+#[test]
+fn interrupted_script_sweep_resumes_byte_identical() {
+    let model = untrained("resume-scripter");
+    let tasks = chipdda::benchmarks::sc_suite();
+    let protocol = ScriptProtocol {
+        max_iters: 3,
+        ..ScriptProtocol::default()
+    };
+    assert_resumes("script-resume", 0x5C41, |sweep| {
+        let (rows, summary) = eval_script_suite(&model, &tasks, &protocol, sweep).unwrap();
+        (rows, summary.resumed)
+    });
 }
 
 /// A journal torn mid-record (simulating a crash during a write) is
