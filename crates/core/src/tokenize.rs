@@ -13,17 +13,22 @@
 //!   happens per character inside the loop (no intermediate lowercased
 //!   copy of the whole input).
 //! * [`tokenize_syms`] streams interned [`Sym`]s with **zero per-token
-//!   heap allocation** after vocabulary warm-up: one reusable scratch
-//!   buffer collects each token's lowercased chars and the interner hands
-//!   back the symbol. This is the hot path the retrieval index and the
-//!   n-gram model are built on.
+//!   heap allocation**: an all-ASCII text is scanned as bytes, each word
+//!   lowercased into a stack buffer, and the symbol comes from the
+//!   per-thread cache in front of the global interner (a text with any
+//!   non-ASCII byte is read char by char instead). This is the hot path
+//!   the retrieval index and the n-gram model are built on.
+//!   [`lookup_syms`] is its query-side twin: it only looks symbols up, so
+//!   query text never grows the interner.
 //!
 //! Lowercasing is `char::to_lowercase` applied character-wise. (Unlike
 //! `str::to_lowercase` this does not apply the Greek final-sigma context
 //! rule; both implementations here agree with each other by construction,
-//! which is what the equivalence suites require.)
+//! which is what the equivalence suites require.) On ASCII it is
+//! `u8::to_ascii_lowercase`, and ASCII whitespace is exactly what
+//! `char::is_whitespace` accepts, `\x0B` included.
 
-use crate::intern::{intern, Sym};
+use crate::intern::{intern_token, lookup_token, Sym};
 
 /// Tokenizes text into words, numbers and punctuation.
 ///
@@ -103,8 +108,10 @@ pub fn token_count(text: &str) -> usize {
 /// Resolving each symbol through the global interner yields exactly
 /// [`tokenize_lower`]`(text)` (property-tested in `tests/tokenize_syms.rs`),
 /// without ever materialising a `Vec<String>` or a lowercased copy of the
-/// input: the iterator keeps one scratch buffer that is reused for every
-/// token.
+/// input. An all-ASCII text is scanned as bytes, each word lowercased
+/// into a stack buffer; any other text takes the char-by-char path with
+/// `char::to_lowercase`. Symbols come from the per-thread cache in front
+/// of the global interner (see [`crate::intern`]).
 ///
 /// ```
 /// use dda_core::intern::resolve;
@@ -114,27 +121,142 @@ pub fn token_count(text: &str) -> usize {
 /// assert_eq!(toks, vec!["count", "<", "=", "1", ";"]);
 /// ```
 pub fn tokenize_syms(text: &str) -> SymTokens<'_> {
-    SymTokens {
-        chars: text.chars(),
-        lower: None,
-        stashed: None,
-        buf: String::new(),
-    }
+    SymTokens(Scan::new(text))
+}
+
+/// The tokens of [`tokenize_syms`], looked up without interning: `None`
+/// for a token no one has interned.
+///
+/// The query-side tokenizer. A word the interner has never seen is in no
+/// vocabulary, so a retrieval query can drop it; and because nothing is
+/// inserted, free-text queries cannot grow the process-wide interner.
+///
+/// ```
+/// use dda_core::tokenize::{lookup_syms, tokenize_syms};
+/// let known: Vec<_> = tokenize_syms("module m;").collect();
+/// let found: Vec<_> = lookup_syms("MODULE xyzzy_unseen m;").collect();
+/// assert_eq!(found, vec![Some(known[0]), None, Some(known[1]), Some(known[2])]);
+/// ```
+pub fn lookup_syms(text: &str) -> LookupSyms<'_> {
+    LookupSyms(Scan::new(text))
 }
 
 /// Iterator returned by [`tokenize_syms`].
 #[derive(Debug, Clone)]
-pub struct SymTokens<'a> {
+pub struct SymTokens<'a>(Scan<'a>);
+
+impl Iterator for SymTokens<'_> {
+    type Item = Sym;
+
+    #[inline]
+    fn next(&mut self) -> Option<Sym> {
+        self.0.next_with(intern_token)
+    }
+}
+
+/// Iterator returned by [`lookup_syms`].
+#[derive(Debug, Clone)]
+pub struct LookupSyms<'a>(Scan<'a>);
+
+impl Iterator for LookupSyms<'_> {
+    type Item = Option<Sym>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Option<Sym>> {
+        self.0.next_with(lookup_token)
+    }
+}
+
+/// Whitespace as `char::is_whitespace` sees an ASCII byte: `\t \n \x0B
+/// \x0C \r` and space. (`u8::is_ascii_whitespace` leaves out `\x0B`.)
+fn is_space(b: u8) -> bool {
+    matches!(b, b'\t'..=b'\r' | b' ')
+}
+
+/// An ASCII word byte: `char::is_alphanumeric` or `_`.
+fn is_word(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// Words up to this long are lowercased into a stack buffer.
+const STACK_WORD: usize = 64;
+
+/// The token grammar's cursor over one text.
+#[derive(Debug, Clone)]
+enum Scan<'a> {
+    /// An all-ASCII text, read as bytes from `pos`.
+    Bytes { text: &'a [u8], pos: usize },
+    /// Any other text. Some non-ASCII chars lowercase to ASCII (`K`,
+    /// U+212A) or to two chars (`İ`), so it is read char by char.
+    Chars(CharScan<'a>),
+}
+
+impl<'a> Scan<'a> {
+    fn new(text: &'a str) -> Self {
+        if text.is_ascii() {
+            Scan::Bytes {
+                text: text.as_bytes(),
+                pos: 0,
+            }
+        } else {
+            Scan::Chars(CharScan {
+                chars: text.chars(),
+                lower: None,
+                stashed: None,
+                buf: String::new(),
+            })
+        }
+    }
+
+    /// Hands the next token's lowercased UTF-8 bytes to `f`.
+    #[inline]
+    fn next_with<R>(&mut self, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        match self {
+            Scan::Bytes { text, pos } => {
+                let rest = &text[*pos..];
+                let Some(start) = rest.iter().position(|&b| !is_space(b)) else {
+                    *pos = text.len();
+                    return None;
+                };
+                let rest = &rest[start..];
+                let len = if is_word(rest[0]) {
+                    rest.iter().position(|&b| !is_word(b)).unwrap_or(rest.len())
+                } else {
+                    1
+                };
+                *pos += start + len;
+                let tok = &rest[..len];
+                Some(match len {
+                    1 => f(&[tok[0].to_ascii_lowercase()]),
+                    2..=STACK_WORD => {
+                        let mut buf = [0u8; STACK_WORD];
+                        let buf = &mut buf[..len];
+                        for (lower, b) in buf.iter_mut().zip(tok) {
+                            *lower = b.to_ascii_lowercase();
+                        }
+                        f(buf)
+                    }
+                    _ => f(&tok.to_ascii_lowercase()),
+                })
+            }
+            Scan::Chars(chars) => chars.advance().then(|| f(chars.buf.as_bytes())),
+        }
+    }
+}
+
+/// The char-by-char cursor of [`Scan::Chars`].
+#[derive(Debug, Clone)]
+struct CharScan<'a> {
     chars: std::str::Chars<'a>,
     /// In-flight lowercase expansion of one input char (`İ` expands to two).
     lower: Option<std::char::ToLowercase>,
     /// A punctuation char that terminated a word and still awaits emission.
     stashed: Option<char>,
-    /// Reusable scratch for the current word token.
+    /// The current token, reused for every token.
     buf: String,
 }
 
-impl SymTokens<'_> {
+impl CharScan<'_> {
     /// Next lowercased char, draining any pending expansion first.
     fn next_lower(&mut self) -> Option<char> {
         loop {
@@ -147,12 +269,9 @@ impl SymTokens<'_> {
             self.lower = Some(self.chars.next()?.to_lowercase());
         }
     }
-}
 
-impl Iterator for SymTokens<'_> {
-    type Item = Sym;
-
-    fn next(&mut self) -> Option<Sym> {
+    /// Reads the next token into `buf`; `false` at the end of the text.
+    fn advance(&mut self) -> bool {
         self.buf.clear();
         while let Some(c) = self.stashed.take().or_else(|| self.next_lower()) {
             if c.is_alphanumeric() || c == '_' {
@@ -164,17 +283,13 @@ impl Iterator for SymTokens<'_> {
                 if !c.is_whitespace() {
                     self.stashed = Some(c);
                 }
-                return Some(intern(&self.buf));
+                return true;
             } else if !c.is_whitespace() {
                 self.buf.push(c);
-                return Some(intern(&self.buf));
+                return true;
             }
         }
-        if self.buf.is_empty() {
-            None
-        } else {
-            Some(intern(&self.buf))
-        }
+        !self.buf.is_empty()
     }
 }
 

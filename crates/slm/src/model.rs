@@ -31,11 +31,13 @@ use dda_core::align::ALIGN_INSTRUCT;
 use dda_core::edascript::EDA_INSTRUCT;
 use dda_core::intern::Sym;
 use dda_core::repair::REPAIR_INSTRUCT;
-use dda_core::tokenize::tokenize_syms;
+use dda_core::tokenize::{lookup_syms, tokenize_lower, tokenize_syms};
 use dda_core::{DataEntry, Dataset, TaskKind};
 use dda_runtime::{run_supervised, RunOptions, UnitOutcome};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
+use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
 
 /// A model personality: capacity plus pretrained skill floors.
@@ -253,50 +255,56 @@ impl Slm {
         // Per-document tokenisation is pure, so it can fan out; everything
         // order-sensitive (term ids, doc ids, n-gram counts) happens in the
         // sequential merge below.
-        let tokenize_one = |i: usize| -> (Vec<Sym>, Option<Vec<Sym>>) {
-            let e = entries[i];
-            // `instruct` and `input` were historically joined with '\n';
-            // whitespace always splits tokens, so chaining is equivalent.
-            let index_toks = tokenize_syms(&e.instruct)
-                .chain(tokenize_syms(&e.input))
-                .collect();
-            let ngram_toks = (i < NGRAM_BUDGET).then(|| padded_syms(&e.output, NGRAM_ORDER));
-            (index_toks, ngram_toks)
-        };
+        let ngram_tokens =
+            |i: usize| (i < NGRAM_BUDGET).then(|| padded_syms(&entries[i].output, NGRAM_ORDER));
         dda_obs::count("slm.train.docs", entries.len() as u64);
-        let tokenized: Vec<(Vec<Sym>, Option<Vec<Sym>>)> = if opts.workers > 1 {
+        let mut index = TfIdfIndex::new();
+        let mut ngram = NgramModel::new(NGRAM_ORDER);
+        let mut merge = |index_toks: &[Sym], ngram_toks: Option<Vec<Sym>>| {
+            index.add_tokens(index_toks);
+            if let Some(toks) = ngram_toks {
+                ngram.train_padded(&toks);
+            }
+        };
+        if opts.workers > 1 {
             let _fanout_span = dda_obs::span("slm.tokenize.fanout");
+            let tokenize_one = |i: usize| {
+                let mut index_toks = Vec::new();
+                index_tokens(entries[i], &mut index_toks);
+                (index_toks, ngram_tokens(i))
+            };
             let run = RunOptions {
                 workers: opts.workers,
                 ..RunOptions::default()
             };
-            run_supervised(entries.len(), &run, |unit, _token| {
+            let units = run_supervised(entries.len(), &run, |unit, _token| {
                 Ok::<_, dda_runtime::UnitError>(tokenize_one(unit))
             })
-            .units
-            .into_iter()
-            .map(|u| match u.outcome {
-                UnitOutcome::Ok(v) => v,
-                // Tokenisation cannot fail, but stay total: redo in-line.
-                UnitOutcome::Quarantined { .. } => tokenize_one(u.unit),
-            })
-            .collect()
-        } else {
-            (0..entries.len()).map(tokenize_one).collect()
-        };
-        let mut docs = Vec::with_capacity(entries.len());
-        let mut index = TfIdfIndex::new();
-        let mut ngram = NgramModel::new(NGRAM_ORDER);
-        for (e, (index_toks, ngram_toks)) in entries.iter().zip(tokenized) {
-            index.add_tokens(&index_toks);
-            if let Some(toks) = ngram_toks {
-                ngram.train_padded(&toks);
+            .units;
+            for u in units {
+                let (index_toks, ngram_toks) = match u.outcome {
+                    UnitOutcome::Ok(v) => v,
+                    // Tokenisation cannot fail, but stay total: redo in-line.
+                    UnitOutcome::Quarantined { .. } => tokenize_one(u.unit),
+                };
+                merge(&index_toks, ngram_toks);
             }
-            docs.push(TrainDoc {
+        } else {
+            // In-line, each document streams through one reused buffer.
+            let mut index_toks = Vec::new();
+            for (i, e) in entries.iter().enumerate() {
+                index_toks.clear();
+                index_tokens(e, &mut index_toks);
+                merge(&index_toks, ngram_tokens(i));
+            }
+        }
+        let docs: Vec<TrainDoc> = entries
+            .iter()
+            .map(|e| TrainDoc {
                 instruct: e.instruct.clone(),
                 output: e.output.clone(),
-            });
-        }
+            })
+            .collect();
         index.finish();
         let n_align = finetune.entries(TaskKind::NlVerilogGeneration).len();
         let n_code = finetune.entries(TaskKind::WordLevelCompletion).len()
@@ -817,6 +825,14 @@ impl Prompt<'_> {
     }
 }
 
+/// Appends the index tokens of a training entry to `out`. `instruct` and
+/// `input` were historically joined with '\n'; whitespace always splits
+/// tokens, so tokenizing them one after the other is equivalent.
+fn index_tokens(e: &DataEntry, out: &mut Vec<Sym>) {
+    out.extend(tokenize_syms(&e.instruct));
+    out.extend(tokenize_syms(&e.input));
+}
+
 /// How well the best `context` document covers `target`'s tokens:
 /// `max_d |tokens(target) ∩ tokens(d)| / |tokens(target)|`, in `[0, 1]`.
 /// Containment rather than Jaccard — a long reference module that fully
@@ -826,15 +842,38 @@ fn context_affinity(target: &str, context: &[String]) -> f64 {
     if context.is_empty() {
         return 0.0;
     }
-    let target_toks: std::collections::HashSet<Sym> = tokenize_syms(target).collect();
-    if target_toks.is_empty() {
+    // Looked up, not interned, so repair prompts never grow the interner.
+    // When every target token has a symbol, a context token without one
+    // cannot match any of them (the interner only grows), so it is
+    // dropped. A target token without a symbol can still match an unseen
+    // context token, so then the texts are compared as strings.
+    match lookup_syms(target).collect::<Option<HashSet<Sym>>>() {
+        Some(target_toks) => coverage(&target_toks, context, |doc| {
+            lookup_syms(doc).flatten().collect()
+        }),
+        None => {
+            let target_toks: HashSet<String> = tokenize_lower(target).into_iter().collect();
+            coverage(&target_toks, context, |doc| {
+                tokenize_lower(doc).into_iter().collect()
+            })
+        }
+    }
+}
+
+/// `max_d |target ∩ tokens(d)| / |target|` over the `context` documents,
+/// `0.0` for an empty target.
+fn coverage<T: Hash + Eq>(
+    target: &HashSet<T>,
+    context: &[String],
+    tokens: impl Fn(&str) -> HashSet<T>,
+) -> f64 {
+    if target.is_empty() {
         return 0.0;
     }
     let mut best = 0.0f64;
     for doc in context {
-        let doc_toks: std::collections::HashSet<Sym> = tokenize_syms(doc).collect();
-        let covered = target_toks.intersection(&doc_toks).count();
-        best = best.max(covered as f64 / target_toks.len() as f64);
+        let covered = target.intersection(&tokens(doc)).count();
+        best = best.max(covered as f64 / target.len() as f64);
     }
     best
 }

@@ -79,7 +79,7 @@
 
 use crate::tfidf::IndexError;
 use dda_core::intern::{resolve, Sym};
-use dda_core::tokenize::tokenize_syms;
+use dda_core::tokenize::{lookup_syms, tokenize_syms};
 use dda_runtime::{run_supervised, RunOptions, UnitError, UnitOutcome};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
@@ -626,7 +626,8 @@ impl ShardedTfIdf {
         let n = self.live.max(1) as f64;
         let mut terms = Vec::new();
         let mut qnorm_sq = 0.0;
-        for (sym, tf) in canonical_terms(tokenize_syms(query)) {
+        // A token the interner has never seen is in no shard.
+        for (sym, tf) in canonical_terms(lookup_syms(query).flatten()) {
             let df = self.global_df(sym);
             if df == 0 {
                 continue;

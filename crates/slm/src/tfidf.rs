@@ -5,8 +5,11 @@
 //! training examples for a query. Cosine similarity over TF-IDF weighted
 //! token vectors.
 //!
-//! Tokens are interned [`Sym`]s (see `dda_core::intern`); documents are
-//! sparse `(term, tf)` vectors sorted by term id. [`finish`] freezes them
+//! Tokens are interned [`Sym`]s (see `dda_core::intern`), mapped to term
+//! ids in first-seen order by one dense table that both the build and the
+//! query read; a query only looks its symbols up, so it never interns.
+//! Documents are sparse `(term, tf)` vectors sorted by term id, counted in
+//! a reused per-index counter. [`finish`] freezes them
 //! into the query layout. A term's weight `(1 + ln tf) · ln((n+1)/df)`
 //! depends only on its tf, its df and the document count `n`, so the
 //! layout stores raw term frequencies and the query recomputes each
@@ -40,7 +43,7 @@
 //! [`try_query_linear`]: TfIdfIndex::try_query_linear
 
 use dda_core::intern::Sym;
-use dda_core::tokenize::tokenize_syms;
+use dda_core::tokenize::{lookup_syms, tokenize_syms};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
@@ -116,6 +119,9 @@ impl Ord for Ranked {
 /// A term is stored as a dense column when it is in at least
 /// `1 / DENSE_DF_DIVISOR` of the documents (and its tf fits a `u8`).
 const DENSE_DF_DIVISOR: usize = 4;
+
+/// `TfIdfIndex::vocab` entry of a symbol no document has.
+const ABSENT: u32 = u32::MAX;
 
 /// Consecutive dense query terms are applied in one pass over the
 /// documents, at most this many at a time.
@@ -237,10 +243,15 @@ pub struct TfIdfIndex {
     docs: Vec<Vec<(u32, f64)>>,
     /// Document norms (computed after `finish`).
     norms: Vec<f64>,
-    /// Token symbol → dense term id (first-occurrence order).
-    vocab: HashMap<Sym, u32>,
+    /// Token symbol id → dense term id (first-occurrence order), or
+    /// [`ABSENT`]; as long as the largest symbol id seen.
+    vocab: Vec<u32>,
     /// Document frequency per term id.
     df: Vec<u32>,
+    /// Build scratch: the current document's count per term id (all zero
+    /// between documents) and the ids it has touched.
+    counts: Vec<u32>,
+    touched: Vec<u32>,
     /// Per term id: how its postings are stored. Built by `finish`.
     layout: Vec<TermLayout>,
     /// Dense columns, `len()` bytes each, back to back: the tf of column
@@ -271,14 +282,26 @@ impl TfIdfIndex {
         self.docs.is_empty()
     }
 
+    /// The term id of `sym`, assigned on first sight.
     fn term_id(&mut self, sym: Sym) -> u32 {
-        if let Some(id) = self.vocab.get(&sym) {
-            return *id;
+        let at = sym.as_u32() as usize;
+        if at >= self.vocab.len() {
+            self.vocab.resize(at + 1, ABSENT);
         }
-        let id = self.vocab.len() as u32;
-        self.vocab.insert(sym, id);
-        self.df.push(0);
-        id
+        if self.vocab[at] == ABSENT {
+            self.vocab[at] = self.df.len() as u32;
+            self.df.push(0);
+            self.counts.push(0);
+        }
+        self.vocab[at]
+    }
+
+    /// The term id of `sym`, if any document has it.
+    fn known_term(&self, sym: Sym) -> Option<u32> {
+        self.vocab
+            .get(sym.as_u32() as usize)
+            .copied()
+            .filter(|&id| id != ABSENT)
     }
 
     /// Adds a document; returns its index.
@@ -293,16 +316,23 @@ impl TfIdfIndex {
     /// `add(text)` ≡ `add_tokens(&tokenize_syms(text).collect::<Vec<_>>())`.
     pub fn add_tokens(&mut self, toks: &[Sym]) -> usize {
         assert!(!self.finished, "index is frozen after finish()");
-        let mut tf: HashMap<u32, f64> = HashMap::with_capacity(toks.len());
         for &sym in toks {
             let id = self.term_id(sym);
-            *tf.entry(id).or_insert(0.0) += 1.0;
+            let count = &mut self.counts[id as usize];
+            if *count == 0 {
+                self.touched.push(id);
+            }
+            *count += 1;
         }
-        let mut doc: Vec<(u32, f64)> = tf.into_iter().collect();
-        doc.sort_unstable_by_key(|(id, _)| *id);
-        for (id, _) in &doc {
-            self.df[*id as usize] += 1;
-        }
+        self.touched.sort_unstable();
+        let doc = self
+            .touched
+            .drain(..)
+            .map(|id| {
+                self.df[id as usize] += 1;
+                (id, std::mem::take(&mut self.counts[id as usize]) as f64)
+            })
+            .collect();
         self.docs.push(doc);
         self.docs.len() - 1
     }
@@ -314,6 +344,7 @@ impl TfIdfIndex {
             return;
         }
         self.finished = true;
+        (self.counts, self.touched) = (Vec::new(), Vec::new());
         let len = self.docs.len();
         let mut max_tf = vec![0u32; self.df.len()];
         for doc in &self.docs {
@@ -354,9 +385,10 @@ impl TfIdfIndex {
         }
         (self.sparse, self.wide) = (sparse, wide);
         let n = len.max(1) as f64;
+        let idfs: Vec<f64> = self.df.iter().map(|&df| idf(n, df)).collect();
         for doc in &mut self.docs {
             for (id, w) in doc.iter_mut() {
-                *w = weight(*w, idf(n, self.df[*id as usize]));
+                *w = weight(*w, idfs[*id as usize]);
             }
         }
         self.norms = self
@@ -371,9 +403,10 @@ impl TfIdfIndex {
     /// therefore their accumulation order — are identical.
     fn query_weights(&self, query: &str) -> (Vec<(u32, f64)>, f64) {
         let mut qtf: HashMap<u32, f64> = HashMap::new();
-        for sym in tokenize_syms(query) {
-            if let Some(id) = self.vocab.get(&sym) {
-                *qtf.entry(*id).or_insert(0.0) += 1.0;
+        // A token the interner has never seen is in no document.
+        for sym in lookup_syms(query).flatten() {
+            if let Some(id) = self.known_term(sym) {
+                *qtf.entry(id).or_insert(0.0) += 1.0;
             }
         }
         let n = self.docs.len().max(1) as f64;
