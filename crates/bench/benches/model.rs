@@ -1,12 +1,13 @@
 //! Criterion benches for the interned-token model layer: tokenisation,
-//! TF-IDF index build, postings-list vs linear-scan retrieval, and the
-//! symbol-keyed vs string-keyed n-gram. `perfsnap`'s `"model"` section
+//! TF-IDF index build, postings-list retrieval vs the linear-scan oracle
+//! (`LinearTfIdf`) over the same documents, and the symbol-keyed vs
+//! string-keyed n-gram. `perfsnap`'s `"model"` section
 //! reports the same stages as one JSON snapshot; these benches give
 //! per-stage means for regression hunting.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dda_core::tokenize::{tokenize_lower, tokenize_syms};
-use dda_slm::reference::StringNgram;
+use dda_slm::reference::{LinearTfIdf, StringNgram};
 use dda_slm::{NgramModel, TfIdfIndex, PROGRESSIVE_ORDER};
 use rand::SeedableRng;
 
@@ -75,15 +76,16 @@ fn bench_retrieval(c: &mut Criterion) {
                 .sum::<usize>()
         })
     });
+    let mut linear = LinearTfIdf::new();
+    for d in &docs {
+        linear.add(d);
+    }
+    linear.finish();
     c.bench_function("model/query_linear", |b| {
         b.iter(|| {
             queries
                 .iter()
-                .map(|q| {
-                    idx.try_query_linear(std::hint::black_box(q), 32)
-                        .unwrap()
-                        .len()
-                })
+                .map(|q| linear.query(std::hint::black_box(q), 32).len())
                 .sum::<usize>()
         })
     });

@@ -4,7 +4,8 @@
 //! and the event loop under both execution engines — on the shared
 //! 128-bit pipeline workload, checks the engines agree, then times the
 //! interned-token model layer (tokenisation, TF-IDF index build,
-//! postings-list vs linear-scan retrieval at ~2k documents, and the
+//! postings-list retrieval vs the `LinearTfIdf` linear-scan oracle over
+//! the same ~2k documents, and the
 //! symbol-keyed vs string-keyed n-gram) on a real augmented corpus, then
 //! measures the `dda-obs` recorder's cost on the two instrumented hot
 //! paths (retrieval queries and simulator runs) with the recorder
@@ -40,7 +41,7 @@
 use dda_bench::{perf_workload, PERF_EVENTS_PER_CYCLE};
 use dda_core::tokenize::{tokenize_lower, tokenize_syms};
 use dda_sim::{cache, EvalMode, SimOptions, SimResult, Simulator};
-use dda_slm::reference::StringNgram;
+use dda_slm::reference::{LinearTfIdf, StringNgram};
 use dda_slm::{NgramModel, TfIdfIndex, PROGRESSIVE_ORDER};
 use rand::SeedableRng;
 use std::time::Instant;
@@ -119,7 +120,8 @@ fn model_section(smoke: bool) -> ModelSection {
     });
 
     // Query latency: every 16th document's first line as a query, top-32
-    // (the SLM's retrieval call), postings vs the linear-scan reference.
+    // (the SLM's retrieval call), postings vs the linear-scan oracle built
+    // over the same documents.
     let queries: Vec<&str> = docs
         .iter()
         .step_by(16)
@@ -131,10 +133,15 @@ fn model_section(smoke: bool) -> ModelSection {
             .map(|q| idx.try_query(q, 32).unwrap().len())
             .sum::<usize>()
     });
+    let mut linear = LinearTfIdf::new();
+    for d in &docs {
+        linear.add(d);
+    }
+    linear.finish();
     let (ref_hits, lin_ms) = best_ms(reps, || {
         queries
             .iter()
-            .map(|q| idx.try_query_linear(q, 32).unwrap().len())
+            .map(|q| linear.query(q, 32).len())
             .sum::<usize>()
     });
     assert_eq!(fast_hits, ref_hits, "query paths disagree on hit counts");

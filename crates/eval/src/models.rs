@@ -6,8 +6,8 @@
 //! with their own synthetic pretraining (see
 //! [`dda_slm::pretraining_dataset`]).
 
-use dda_core::pipeline::{augment, PipelineOptions, StageSet};
-use dda_core::Dataset;
+use dda_core::pipeline::{augment, AugmentReport, PipelineOptions, StageSet};
+use dda_core::{Dataset, TaskKind};
 use dda_slm::{pretraining_dataset, Slm, SlmProfile, TrainOptions, PROGRESSIVE_ORDER};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -87,40 +87,67 @@ impl Default for ZooOptions {
 /// The six models, finetuned and ready to query.
 pub struct ModelZoo {
     models: Vec<(ModelId, Slm)>,
-    /// The full augmented dataset (exposed for Table 2 / Fig. 3 benches).
-    pub full_dataset: Dataset,
-    /// The completion-only dataset (the General-Aug ablation).
-    pub general_dataset: Dataset,
 }
 
 impl fmt::Debug for ModelZoo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ModelZoo")
             .field("models", &self.models.len())
-            .field("full_dataset", &self.full_dataset.len())
             .finish()
     }
 }
 
+/// The task groups the completion stage fills, the only ones
+/// [`StageSet::GENERAL_AUG`] enables.
+const COMPLETION_KINDS: [TaskKind; 3] = [
+    TaskKind::WordLevelCompletion,
+    TaskKind::StatementLevelCompletion,
+    TaskKind::ModuleLevelCompletion,
+];
+
+/// The General-Aug (completion-only) dataset of `corpus`, given the full
+/// augmentation of the same corpus with the same seed.
+///
+/// The completion stage draws no randomness and every stage books its
+/// entries per module in corpus order, so a completion-only run yields
+/// exactly the full run's completion groups. The one exception is
+/// recycling: a run that quarantined a module also recycles it into
+/// `VerilogDebug`, and which quarantines a completion-only run has
+/// depends on its stages. So a full run with any quarantine (never on a
+/// generated corpus) reruns the completion-only augmentation instead.
+fn completion_only(
+    corpus: &[dda_corpus::CorpusModule],
+    (full, report): &(Dataset, AugmentReport),
+    pipe: &PipelineOptions,
+    seed: u64,
+) -> Dataset {
+    if !report.quarantines.is_empty() {
+        let general = PipelineOptions {
+            stages: StageSet::GENERAL_AUG,
+            ..pipe.clone()
+        };
+        return augment(corpus, &general, &mut SmallRng::seed_from_u64(seed)).0;
+    }
+    let mut general = Dataset::new();
+    for kind in COMPLETION_KINDS {
+        general.extend(kind, full.entries(kind).iter().cloned());
+    }
+    general
+}
+
 impl ModelZoo {
     /// Builds the zoo: generates the corpus, runs the augmentation pipeline
-    /// (full and completion-only variants), and finetunes every profile.
+    /// (its completion groups are the completion-only variant), and
+    /// finetunes every profile.
     pub fn build(opts: &ZooOptions) -> ModelZoo {
         let _build_span = dda_obs::span("zoo.build");
         let mut rng = SmallRng::seed_from_u64(opts.seed);
         let corpus = dda_corpus::generate_corpus(opts.corpus_modules, &mut rng);
         let pipe = PipelineOptions::default();
-        let mut rng_full = SmallRng::seed_from_u64(opts.seed ^ 0xF0);
-        let (full, _) = augment(&corpus, &pipe, &mut rng_full);
-        let mut rng_gen = SmallRng::seed_from_u64(opts.seed ^ 0xF0);
-        let (general, _) = augment(
-            &corpus,
-            &PipelineOptions {
-                stages: StageSet::GENERAL_AUG,
-                ..pipe
-            },
-            &mut rng_gen,
-        );
+        let aug_seed = opts.seed ^ 0xF0;
+        let augmented = augment(&corpus, &pipe, &mut SmallRng::seed_from_u64(aug_seed));
+        let general = completion_only(&corpus, &augmented, &pipe, aug_seed);
+        let full = augmented.0;
         let topts = TrainOptions {
             workers: opts.train_workers.max(1),
         };
@@ -158,11 +185,7 @@ impl ModelZoo {
             (ModelId::Llama2Pt, build(SlmProfile::llama2(13.0), &empty)),
             (ModelId::GeneralAug, build(general13, &general)),
         ];
-        ModelZoo {
-            models,
-            full_dataset: full,
-            general_dataset: general,
-        }
+        ModelZoo { models }
     }
 
     /// Fetches a model.
@@ -226,9 +249,43 @@ mod tests {
         assert!((s7.nl - s13.nl).abs() < 1e-9);
     }
 
+    fn general_aug(corpus: &[dda_corpus::CorpusModule], seed: u64) -> Dataset {
+        let pipe = PipelineOptions {
+            stages: StageSet::GENERAL_AUG,
+            ..PipelineOptions::default()
+        };
+        augment(corpus, &pipe, &mut SmallRng::seed_from_u64(seed)).0
+    }
+
+    /// The derived General-Aug dataset is the completion-only augmentation,
+    /// entry for entry, across seeds and corpus sizes.
     #[test]
-    fn datasets_exposed() {
-        let zoo = small_zoo();
-        assert!(zoo.full_dataset.len() > zoo.general_dataset.len());
+    fn completion_only_matches_general_aug_run() {
+        let pipe = PipelineOptions::default();
+        for (seed, modules) in [(7, 12), (2024, 24), (11, 48), (3, 5), (99, 96), (2024, 192)] {
+            let corpus = dda_corpus::generate_corpus(modules, &mut SmallRng::seed_from_u64(seed));
+            let full = augment(&corpus, &pipe, &mut SmallRng::seed_from_u64(seed));
+            assert!(full.1.quarantines.is_empty());
+            let derived = completion_only(&corpus, &full, &pipe, seed);
+            assert!(!derived.is_empty());
+            assert!(derived.len() < full.0.len());
+            assert_eq!(derived, general_aug(&corpus, seed), "seed {seed}/{modules}");
+        }
+    }
+
+    /// A corpus whose completion stage quarantines a module recycles it
+    /// into `VerilogDebug` in a completion-only run too, so the completion
+    /// groups alone would miss it: the derivation reruns the augmentation.
+    #[test]
+    fn quarantined_corpus_reruns_general_aug() {
+        let pipe = PipelineOptions::default();
+        let mut corpus = dda_corpus::generate_corpus(8, &mut SmallRng::seed_from_u64(5));
+        corpus[3].source = "(".to_owned();
+        let full = augment(&corpus, &pipe, &mut SmallRng::seed_from_u64(5));
+        let general = general_aug(&corpus, 5);
+        assert_eq!(general.entries(TaskKind::VerilogDebug).len(), 1);
+        let unreported = (full.0.clone(), AugmentReport::default());
+        assert_ne!(completion_only(&corpus, &unreported, &pipe, 5), general);
+        assert_eq!(completion_only(&corpus, &full, &pipe, 5), general);
     }
 }

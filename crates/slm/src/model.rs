@@ -173,9 +173,6 @@ pub struct Slm {
     profile: SlmProfile,
     skills: Skills,
     trained: Arc<Trained>,
-    /// Route retrieval through the linear-scan reference instead of the
-    /// postings list (equivalence testing only).
-    reference_retrieval: bool,
 }
 
 impl std::fmt::Debug for Slm {
@@ -324,7 +321,6 @@ impl Slm {
             profile,
             skills,
             trained: Arc::new(Trained { docs, index, ngram }),
-            reference_retrieval: false,
         }
     }
 
@@ -342,16 +338,7 @@ impl Slm {
             },
             skills: self.skills,
             trained: Arc::clone(&self.trained),
-            reference_retrieval: self.reference_retrieval,
         }
-    }
-
-    /// Routes retrieval through the retained linear-scan reference instead
-    /// of the postings list. Equivalence testing only: the two paths return
-    /// identical hits, so generation output must not change.
-    #[doc(hidden)]
-    pub fn set_reference_retrieval(&mut self, on: bool) {
-        self.reference_retrieval = on;
     }
 
     /// A base model: the profile with its synthetic pretraining corpus and
@@ -377,7 +364,7 @@ impl Slm {
     }
 
     /// The retrieval index generation queries (equivalence testing only:
-    /// the layout suites compare it with its linear-scan reference).
+    /// the suites compare it with [`LinearTfIdf`](crate::reference::LinearTfIdf)).
     #[doc(hidden)]
     pub fn index(&self) -> &TfIdfIndex {
         &self.trained.index
@@ -780,17 +767,11 @@ impl Prompt<'_> {
             // a long description on shared port tokens, but a tuned model
             // does not answer a design request with a next-token guess).
             let query = format!("{instruct}\n{}", self.input);
-            // The hot path goes through the postings index, always; the
-            // linear scan exists only for the equivalence batteries behind
-            // the doc-hidden `set_reference_retrieval` toggle (the obs
-            // regression test in `tests/hot_path_obs.rs` pins this: counter
-            // `slm.query.linear` stays 0 across a normal sweep).
-            let mut hits = if model.reference_retrieval {
-                model.trained.index.try_query_linear(&query, 32)
-            } else {
-                model.trained.index.try_query(&query, 32)
-            }
-            .expect("finetune() finished the index");
+            let mut hits = model
+                .trained
+                .index
+                .try_query(&query, 32)
+                .expect("finetune() finished the index");
             if hits
                 .iter()
                 .any(|h| model.trained.docs[h.doc].instruct == instruct)

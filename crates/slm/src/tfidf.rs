@@ -8,12 +8,13 @@
 //! Tokens are interned [`Sym`]s (see `dda_core::intern`), mapped to term
 //! ids in first-seen order by one dense table that both the build and the
 //! query read; a query only looks its symbols up, so it never interns.
-//! Documents are sparse `(term, tf)` vectors sorted by term id, counted in
-//! a reused per-index counter. [`finish`] freezes them
-//! into the query layout. A term's weight `(1 + ln tf) · ln((n+1)/df)`
-//! depends only on its tf, its df and the document count `n`, so the
-//! layout stores raw term frequencies and the query recomputes each
-//! weight with the same expression:
+//! While building, each document's `(term, tf)` pairs, sorted by term id
+//! and counted in a reused per-index counter, are appended to one flat
+//! doc-major buffer. [`finish`] lays that buffer out for queries, computes
+//! the document norms from it and frees it. A term's weight
+//! `(1 + ln tf) · ln((n+1)/df)` depends only on its tf, its df and the
+//! document count `n`, so the layout stores raw term frequencies and the
+//! query recomputes each weight with the same expression:
 //!
 //! - a term in at least a quarter of the documents whose tf never exceeds
 //!   255 is a *dense* column, one `u8` tf per document (0 = absent);
@@ -22,25 +23,25 @@
 //! - a term with a wider tf is a *wide* posting list with `u32` tfs, so
 //!   no tf is ever clamped.
 //!
+//! A finished index keeps only that layout, the norms and the per-term
+//! tables; no weight is stored (DESIGN.md §5r).
+//!
 //! [`try_query`] accumulates into a reused thread-local score buffer, term
 //! by term in ascending term id. Runs of consecutive dense terms are fused
 //! into one branch-free pass over the documents; an absent document adds
 //! `+0.0`, which leaves every sum's bits unchanged. One ascending pass
 //! over the buffer then keeps the top-k in a bounded heap under the total
-//! hit order. The per-document weighted vectors are kept for the
-//! linear-scan reference [`try_query_linear`], which the equivalence
-//! suites and the `perfsnap` guard compare against. Querying before
-//! `finish` is a typed [`IndexError::NotFinished`]; the old panicking
-//! `query`/`query_linear` entry points survive as `#[deprecated]` shims.
+//! hit order. Querying before `finish` is a typed
+//! [`IndexError::NotFinished`].
 //!
-//! Determinism: all dot products accumulate term-by-term in ascending
-//! term-id order (both paths) from bit-identical products, so scores are
-//! bit-identical between the two implementations and across runs
-//! (DESIGN.md §5n).
+//! Determinism: every dot product and every norm accumulates term by term
+//! in ascending term-id order from bit-identical products, so scores are
+//! bit-identical across runs and to the linear-scan oracle
+//! [`LinearTfIdf`](crate::reference::LinearTfIdf) the equivalence suites
+//! compare against (DESIGN.md §5n).
 //!
 //! [`finish`]: TfIdfIndex::finish
 //! [`try_query`]: TfIdfIndex::try_query
-//! [`try_query_linear`]: TfIdfIndex::try_query_linear
 
 use dda_core::intern::Sym;
 use dda_core::tokenize::{lookup_syms, tokenize_syms};
@@ -51,11 +52,9 @@ use std::fmt;
 
 /// Typed errors from the retrieval indexes.
 ///
-/// [`TfIdfIndex`] queries used to panic on an unfinished index; the
-/// fallible entry points ([`TfIdfIndex::try_query`],
-/// [`TfIdfIndex::try_query_linear`]) return `NotFinished` instead so
-/// callers that drive the index from untrusted request streams (the serve
-/// daemon above all) can answer with a structured error. The sharded
+/// [`TfIdfIndex::try_query`] returns `NotFinished` on an unfinished index
+/// so callers that drive the index from untrusted request streams (the
+/// serve daemon above all) can answer with a structured error. The sharded
 /// index ([`crate::ShardedTfIdf`]) is fallible from day one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -86,8 +85,8 @@ pub struct Hit {
     pub score: f64,
 }
 
-/// Best-score-first, ties broken by insertion order — the ordering both
-/// query paths rank hits by. A total order: doc ids are unique.
+/// Best-score-first, ties broken by insertion order. A total order: doc
+/// ids are unique.
 fn hit_order(a: &Hit, b: &Hit) -> Ordering {
     b.score.total_cmp(&a.score).then(a.doc.cmp(&b.doc))
 }
@@ -137,8 +136,8 @@ fn idf(n: f64, df: u32) -> f64 {
 }
 
 /// A term's TF-IDF weight. The one expression every weight comes from:
-/// document vectors at `finish`, query vectors, and the products the
-/// query recomputes from stored tfs.
+/// the norms at `finish`, query vectors, and the products the query
+/// recomputes from stored tfs.
 fn weight(tf: f64, idf: f64) -> f64 {
     (1.0 + tf.ln()) * idf
 }
@@ -237,10 +236,13 @@ thread_local! {
 /// TF-IDF index over text documents.
 #[derive(Debug, Clone, Default)]
 pub struct TfIdfIndex {
-    /// Per-document sparse `(term, tf)` vectors sorted by term id
-    /// (IDF-weighted in place by `finish`). Retained after `finish` as the
-    /// data the linear-scan reference walks.
-    docs: Vec<Vec<(u32, f64)>>,
+    /// Number of indexed documents.
+    len: usize,
+    /// Build buffer: every document's `(term, tf)` pairs sorted by term id,
+    /// documents back to back; document `d` ends at `ends[d]`. `finish`
+    /// lays the postings out from them and frees both.
+    pairs: Vec<(u32, u32)>,
+    ends: Vec<usize>,
     /// Document norms (computed after `finish`).
     norms: Vec<f64>,
     /// Token symbol id → dense term id (first-occurrence order), or
@@ -274,12 +276,12 @@ impl TfIdfIndex {
 
     /// Number of indexed documents.
     pub fn len(&self) -> usize {
-        self.docs.len()
+        self.len
     }
 
     /// `true` when no documents are indexed.
     pub fn is_empty(&self) -> bool {
-        self.docs.is_empty()
+        self.len == 0
     }
 
     /// The term id of `sym`, assigned on first sight.
@@ -325,33 +327,37 @@ impl TfIdfIndex {
             *count += 1;
         }
         self.touched.sort_unstable();
-        let doc = self
-            .touched
-            .drain(..)
-            .map(|id| {
-                self.df[id as usize] += 1;
-                (id, std::mem::take(&mut self.counts[id as usize]) as f64)
-            })
-            .collect();
-        self.docs.push(doc);
-        self.docs.len() - 1
+        for id in self.touched.drain(..) {
+            self.df[id as usize] += 1;
+            let tf = std::mem::take(&mut self.counts[id as usize]);
+            self.pairs.push((id, tf));
+        }
+        self.ends.push(self.pairs.len());
+        self.len += 1;
+        self.len - 1
     }
 
-    /// Freezes the index: lays the postings out from the raw tfs, then
-    /// applies IDF weighting to the document vectors and precomputes norms.
+    /// Freezes the index: lays the postings out from the raw tfs,
+    /// precomputes the document norms, then frees the build buffer.
     pub fn finish(&mut self) {
         if self.finished {
             return;
         }
         self.finished = true;
         (self.counts, self.touched) = (Vec::new(), Vec::new());
-        let len = self.docs.len();
+        let (pairs, ends) = (
+            std::mem::take(&mut self.pairs),
+            std::mem::take(&mut self.ends),
+        );
+        let docs = || {
+            let starts = std::iter::once(0).chain(ends.iter().copied());
+            starts.zip(&ends).map(|(start, &end)| &pairs[start..end])
+        };
+        let len = self.len;
         let mut max_tf = vec![0u32; self.df.len()];
-        for doc in &self.docs {
-            for &(id, tf) in doc {
-                let m = &mut max_tf[id as usize];
-                *m = (*m).max(tf as u32);
-            }
+        for &(id, tf) in &pairs {
+            let m = &mut max_tf[id as usize];
+            *m = (*m).max(tf);
         }
         let (mut sparse, mut wide, mut n_dense) = (Csr::default(), Csr::default(), 0);
         self.layout = max_tf
@@ -374,33 +380,36 @@ impl TfIdfIndex {
         let mut wide_at = wide.allocate();
         // Docs are visited in ascending id order, so every list comes out
         // doc-sorted.
-        for (d, doc) in self.docs.iter().enumerate() {
+        for (d, doc) in docs().enumerate() {
             for &(id, tf) in doc {
                 match self.layout[id as usize].at {
                     Layout::Dense(c) => self.dense[c as usize * len + d] = tf as u8,
                     Layout::Sparse(i) => sparse.put(&mut sparse_at[i as usize], d, tf as u8),
-                    Layout::Wide(i) => wide.put(&mut wide_at[i as usize], d, tf as u32),
+                    Layout::Wide(i) => wide.put(&mut wide_at[i as usize], d, tf),
                 }
             }
         }
         (self.sparse, self.wide) = (sparse, wide);
         let n = len.max(1) as f64;
         let idfs: Vec<f64> = self.df.iter().map(|&df| idf(n, df)).collect();
-        for doc in &mut self.docs {
-            for (id, w) in doc.iter_mut() {
-                *w = weight(*w, idfs[*id as usize]);
-            }
-        }
-        self.norms = self
-            .docs
-            .iter()
-            .map(|d| d.iter().map(|(_, w)| w * w).sum::<f64>().sqrt())
+        // Each norm sums its squared weights in ascending term id.
+        self.norms = docs()
+            .map(|doc| {
+                doc.iter()
+                    .map(|&(id, tf)| {
+                        let w = weight(tf as f64, idfs[id as usize]);
+                        w * w
+                    })
+                    .sum::<f64>()
+                    .sqrt()
+            })
             .collect();
+        self.vocab.shrink_to_fit();
+        self.df.shrink_to_fit();
     }
 
     /// TF-IDF weights of the query's known terms, sorted by term id, plus
-    /// the query norm. Shared by both query paths so their inputs — and
-    /// therefore their accumulation order — are identical.
+    /// the query norm.
     fn query_weights(&self, query: &str) -> (Vec<(u32, f64)>, f64) {
         let mut qtf: HashMap<u32, f64> = HashMap::new();
         // A token the interner has never seen is in no document.
@@ -409,7 +418,7 @@ impl TfIdfIndex {
                 *qtf.entry(id).or_insert(0.0) += 1.0;
             }
         }
-        let n = self.docs.len().max(1) as f64;
+        let n = self.len.max(1) as f64;
         let mut terms: Vec<(u32, f64)> = qtf.into_iter().collect();
         terms.sort_unstable_by_key(|(id, _)| *id);
         for (id, w) in terms.iter_mut() {
@@ -419,9 +428,8 @@ impl TfIdfIndex {
         (terms, qnorm)
     }
 
-    /// Scores `query` against the corpus, best first. Output is identical
-    /// to [`TfIdfIndex::try_query_linear`] — same docs, bit-identical
-    /// scores, same tie order.
+    /// Scores `query` against the corpus, best first: the cosine of every
+    /// document sharing a term with it, ties in insertion order.
     ///
     /// # Errors
     ///
@@ -438,7 +446,7 @@ impl TfIdfIndex {
         }
         Ok(SCORES.with(|scores| {
             let mut scores = scores.borrow_mut();
-            let len = self.docs.len();
+            let len = self.len;
             if scores.len() < len {
                 scores.resize(len, 0.0);
             }
@@ -449,10 +457,10 @@ impl TfIdfIndex {
     }
 
     /// Adds every query term's products into `scores`, term by term in
-    /// ascending term id, so each document's sum runs in the order the
-    /// linear scan adds it.
+    /// ascending term id, so each document's sum runs in the order a
+    /// linear scan of its sorted vector adds it.
     fn accumulate(&self, terms: &[(u32, f64)], scores: &mut [f64]) {
-        let (n, len) = (self.docs.len().max(1) as f64, scores.len());
+        let (n, len) = (self.len.max(1) as f64, scores.len());
         // `prod[tf] = qw · weight(tf)` for every tf up to the term's largest
         // (and 255); `prod[0]` stays `+0.0`, what an absent doc adds.
         let products = |id: u32, qw: f64| -> ProdTable {
@@ -545,84 +553,6 @@ impl TfIdfIndex {
         }
         heap.into_sorted_vec().into_iter().map(|r| r.0).collect()
     }
-
-    /// The pre-postings reference: scores `query` by linearly scanning
-    /// every document's sparse vector, then fully sorting the hits.
-    ///
-    /// Retained (not `#[cfg(test)]`) because the equivalence property
-    /// tests, the criterion benches, and `perfsnap`'s speedup guard all
-    /// compare [`TfIdfIndex::try_query`] against it at runtime.
-    ///
-    /// # Errors
-    ///
-    /// [`IndexError::NotFinished`] if [`TfIdfIndex::finish`] has not been
-    /// called.
-    pub fn try_query_linear(&self, query: &str, top: usize) -> Result<Vec<Hit>, IndexError> {
-        if !self.finished {
-            return Err(IndexError::NotFinished);
-        }
-        dda_obs::count("slm.query.linear", 1);
-        let (terms, qnorm) = self.query_weights(query);
-        if qnorm == 0.0 {
-            return Ok(Vec::new());
-        }
-        let mut hits: Vec<Hit> = self
-            .docs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, d)| {
-                // Same per-doc accumulation order as the postings path:
-                // ascending term id.
-                let mut dot = 0.0;
-                for (id, qw) in &terms {
-                    if let Ok(k) = d.binary_search_by_key(id, |(t, _)| *t) {
-                        dot += qw * d[k].1;
-                    }
-                }
-                if dot == 0.0 {
-                    return None;
-                }
-                let norm = self.norms[i];
-                if norm == 0.0 {
-                    return None;
-                }
-                Some(Hit {
-                    doc: i,
-                    score: dot / (qnorm * norm),
-                })
-            })
-            .collect();
-        hits.sort_by(hit_order);
-        hits.truncate(top);
-        Ok(hits)
-    }
-
-    /// Panicking shim over [`TfIdfIndex::try_query`], kept for old callers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`TfIdfIndex::finish`] has not been called.
-    #[deprecated(note = "use try_query(); an unfinished index is now a typed IndexError")]
-    pub fn query(&self, query: &str, top: usize) -> Vec<Hit> {
-        match self.try_query(query, top) {
-            Ok(hits) => hits,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Panicking shim over [`TfIdfIndex::try_query_linear`], kept for old
-    /// callers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`TfIdfIndex::finish`] has not been called.
-    #[deprecated(note = "use try_query_linear(); an unfinished index is now a typed IndexError")]
-    pub fn query_linear(&self, query: &str, top: usize) -> Vec<Hit> {
-        match self.try_query_linear(query, top) {
-            Ok(hits) => hits,
-            Err(e) => panic!("{e}"),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -695,7 +625,6 @@ mod tests {
         let mut idx = TfIdfIndex::new();
         idx.add("a");
         assert_eq!(idx.try_query("a", 1), Err(IndexError::NotFinished));
-        assert_eq!(idx.try_query_linear("a", 1), Err(IndexError::NotFinished));
         assert_eq!(
             IndexError::NotFinished.to_string(),
             "call finish() before query()"
@@ -703,46 +632,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "finish")]
-    #[allow(deprecated)]
-    fn deprecated_query_shim_still_panics() {
-        let mut idx = TfIdfIndex::new();
-        idx.add("a");
-        idx.query("a", 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "finish")]
-    #[allow(deprecated)]
-    fn deprecated_linear_shim_still_panics() {
-        let mut idx = TfIdfIndex::new();
-        idx.add("a");
-        idx.query_linear("a", 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_fallible_paths() {
-        let idx = index(&["counter with reset", "an adder"]);
-        assert_eq!(
-            idx.query("counter", 2),
-            idx.try_query("counter", 2).unwrap()
-        );
-        assert_eq!(
-            idx.query_linear("counter", 2),
-            idx.try_query_linear("counter", 2).unwrap()
-        );
-    }
-
-    #[test]
     fn postings_match_linear_reference() {
-        let idx = index(&[
+        let docs = [
             "counter module increments on clock edge",
             "multiplexer selects between inputs",
             "module counter with reset",
             "",
             "counter counter counter",
-        ]);
+        ];
+        let idx = index(&docs);
+        let mut linear = crate::reference::LinearTfIdf::new();
+        for d in docs {
+            linear.add(d);
+        }
+        linear.finish();
         for q in [
             "counter",
             "module counter reset",
@@ -753,7 +656,7 @@ mod tests {
             for top in [0, 1, 3, 10] {
                 assert_eq!(
                     idx.try_query(q, top).unwrap(),
-                    idx.try_query_linear(q, top).unwrap(),
+                    linear.query(q, top),
                     "{q:?}/{top}"
                 );
             }

@@ -6,11 +6,12 @@
 //! per-document `HashMap<u32, f64>` of tfs sorted by term id, IDF
 //! weighting at finish, and the linear-scan query over the weighted
 //! vectors. Every document used as a query, and random queries, must
-//! give bit-identical hits from the new index's `try_query` and
-//! `try_query_linear` and from the oracle.
+//! give bit-identical hits from the new index's `try_query`, from the
+//! `LinearTfIdf` oracle and from the old build.
 
 use dda_core::intern::{intern, Sym};
 use dda_core::tokenize::tokenize_syms;
+use dda_slm::reference::LinearTfIdf;
 use dda_slm::tfidf::Hit;
 use dda_slm::TfIdfIndex;
 use proptest::prelude::*;
@@ -149,13 +150,16 @@ fn check(docs: &[Vec<usize>], intern_order: &[usize], queries: &[Vec<usize>]) {
             .join(" ")
     };
     let mut new = TfIdfIndex::new();
+    let mut linear = LinearTfIdf::new();
     let mut old = OldIndex::default();
     for doc in docs {
         let toks: Vec<Sym> = tokenize_syms(&text(doc)).collect();
         new.add_tokens(&toks);
+        linear.add_tokens(&toks);
         old.add_tokens(&toks);
     }
     new.finish();
+    linear.finish();
     old.finish();
     for (i, q) in docs.iter().chain(queries).enumerate() {
         let q = text(q);
@@ -163,7 +167,7 @@ fn check(docs: &[Vec<usize>], intern_order: &[usize], queries: &[Vec<usize>]) {
             let what = format!("query {i} top {top}");
             let reference = old.query(&q, top);
             assert_bit_identical(&new.try_query(&q, top).unwrap(), &reference, &what);
-            assert_bit_identical(&new.try_query_linear(&q, top).unwrap(), &reference, &what);
+            assert_bit_identical(&linear.query(&q, top), &reference, &what);
         }
     }
 }

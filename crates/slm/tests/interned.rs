@@ -1,8 +1,10 @@
 //! Equivalence suites for the interned-symbol model layer: the postings
 //! retrieval path, the symbol-keyed n-gram, and the parallel training
-//! fan-out must be *output-identical* to their retained references.
+//! fan-out must be *output-identical* to their references (the
+//! `LinearTfIdf` and `StringNgram` oracles, and the one-worker build).
 
-use dda_slm::reference::StringNgram;
+use dda_core::Dataset;
+use dda_slm::reference::{LinearTfIdf, StringNgram};
 use dda_slm::{NgramModel, Slm, SlmProfile, TfIdfIndex, TrainOptions, PROGRESSIVE_ORDER};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -24,13 +26,17 @@ fn assert_hits_identical(fast: &[dda_slm::tfidf::Hit], reference: &[dda_slm::tfi
     }
 }
 
-fn build(docs: &[String]) -> TfIdfIndex {
+/// The index and its linear-scan oracle over `docs`.
+fn build(docs: &[String]) -> (TfIdfIndex, LinearTfIdf) {
     let mut idx = TfIdfIndex::new();
+    let mut linear = LinearTfIdf::new();
     for d in docs {
         idx.add(d);
+        linear.add(d);
     }
     idx.finish();
-    idx
+    linear.finish();
+    (idx, linear)
 }
 
 proptest! {
@@ -42,8 +48,8 @@ proptest! {
         query in "[a-g ]{0,24}",
         top in 0usize..8,
     ) {
-        let idx = build(&docs);
-        assert_hits_identical(&idx.try_query(&query, top).unwrap(), &idx.try_query_linear(&query, top).unwrap());
+        let (idx, linear) = build(&docs);
+        assert_hits_identical(&idx.try_query(&query, top).unwrap(), &linear.query(&query, top));
     }
 
     /// Same, on corpora full of duplicate documents (maximal tie stress).
@@ -55,8 +61,8 @@ proptest! {
         top in 0usize..32,
     ) {
         let docs = vec![doc; copies];
-        let idx = build(&docs);
-        assert_hits_identical(&idx.try_query(&query, top).unwrap(), &idx.try_query_linear(&query, top).unwrap());
+        let (idx, linear) = build(&docs);
+        assert_hits_identical(&idx.try_query(&query, top).unwrap(), &linear.query(&query, top));
     }
 
     /// The interned n-gram model is bit-identical to the retained
@@ -88,43 +94,46 @@ proptest! {
 
 #[test]
 fn query_on_empty_corpus_returns_nothing() {
-    let idx = build(&[]);
+    let (idx, linear) = build(&[]);
     assert!(idx.try_query("anything at all", 8).unwrap().is_empty());
-    assert!(idx
-        .try_query_linear("anything at all", 8)
-        .unwrap()
-        .is_empty());
+    assert!(linear.query("anything at all", 8).is_empty());
 }
 
 #[test]
 fn query_with_no_overlap_matches_reference() {
-    let idx = build(&["alpha beta".into(), "gamma delta".into(), String::new()]);
+    let (idx, linear) = build(&["alpha beta".into(), "gamma delta".into(), String::new()]);
     let fast = idx.try_query("omega psi chi", 8).unwrap();
     assert!(fast.is_empty());
-    assert_hits_identical(&fast, &idx.try_query_linear("omega psi chi", 8).unwrap());
+    assert_hits_identical(&fast, &linear.query("omega psi chi", 8));
 }
 
 #[test]
 fn empty_docs_never_match() {
-    let idx = build(&[String::new(), "a b c".into(), String::new()]);
+    let (idx, linear) = build(&[String::new(), "a b c".into(), String::new()]);
     let fast = idx.try_query("a", 8).unwrap();
     assert_eq!(fast.len(), 1);
     assert_eq!(fast[0].doc, 1);
-    assert_hits_identical(&fast, &idx.try_query_linear("a", 8).unwrap());
+    assert_hits_identical(&fast, &linear.query("a", 8));
+}
+
+/// A real augmented dataset.
+fn dataset() -> Dataset {
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+    let corpus = dda_corpus::generate_corpus(6, &mut rng);
+    dda_core::pipeline::augment(
+        &corpus,
+        &dda_core::pipeline::PipelineOptions::default(),
+        &mut rng,
+    )
+    .0
 }
 
 /// Builds one SLM from a real augmented corpus with the given worker count.
 fn trained(workers: usize) -> Slm {
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
-    let corpus = dda_corpus::generate_corpus(6, &mut rng);
-    let (data, _report) = dda_core::pipeline::augment(
-        &corpus,
-        &dda_core::pipeline::PipelineOptions::default(),
-        &mut rng,
-    );
+    let data = dataset();
     Slm::finetune_with_options(
         SlmProfile::llama2(13.0),
-        &dda_core::dataset::Dataset::new(),
+        &Dataset::new(),
         &data,
         &PROGRESSIVE_ORDER,
         &TrainOptions { workers },
@@ -166,23 +175,23 @@ fn train_fanout_is_worker_count_invariant() {
     }
 }
 
-/// Routing retrieval through the linear-scan reference must not change
-/// generation at all — the two query paths return identical hits.
+/// Every query the model issues (`"{instruct}\n{input}"`, top 32) gets
+/// the hits of an oracle built over the model's training entries, in
+/// training order, instruct tokens then input tokens.
 #[test]
-fn reference_retrieval_toggle_is_invisible() {
-    let mut model = trained(1);
-    let opts = dda_slm::GenOptions::default();
+fn model_queries_match_linear_oracle() {
+    let model = trained(1);
+    let linear = LinearTfIdf::over_training(&Dataset::new(), &dataset(), &PROGRESSIVE_ORDER);
+    assert_eq!(model.index().len(), linear.len());
     let prompts = [
         ("Implement the module described below.", "a 4-bit counter"),
         ("Continue the Verilog code.", "assign out ="),
+        ("Continue the Verilog code.", "module counter(input clk,"),
     ];
     for (instruct, input) in prompts {
-        let mut r1 = rand::rngs::SmallRng::seed_from_u64(9);
-        let fast = model.generate(instruct, input, &opts, &mut r1);
-        model.set_reference_retrieval(true);
-        let mut r2 = rand::rngs::SmallRng::seed_from_u64(9);
-        let slow = model.generate(instruct, input, &opts, &mut r2);
-        model.set_reference_retrieval(false);
-        assert_eq!(fast, slow);
+        let query = format!("{instruct}\n{input}");
+        let fast = model.index().try_query(&query, 32).unwrap();
+        assert!(!fast.is_empty(), "{query:?} retrieved nothing");
+        assert_hits_identical(&fast, &linear.query(&query, 32));
     }
 }

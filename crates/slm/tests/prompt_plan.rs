@@ -6,14 +6,16 @@
 //! on a small corpus) with every instruct the evaluators use — NL→Verilog,
 //! EDA script, repair with and without few-shot context, and a completion
 //! instruct — over benchmark-suite prompts and several sampling seeds. It
-//! repeats the comparison with the linear-scan reference retrieval and with
-//! one plan sampled from several threads at once.
+//! also holds every retrieval a plan makes to the linear-scan oracle, and
+//! repeats the comparison with one plan sampled from several threads at
+//! once.
 
 use dda_core::align::ALIGN_INSTRUCT;
 use dda_core::edascript::EDA_INSTRUCT;
 use dda_core::pipeline::{augment, PipelineOptions, StageSet};
 use dda_core::repair::{break_verilog, RepairOptions, REPAIR_INSTRUCT};
 use dda_core::Dataset;
+use dda_slm::reference::LinearTfIdf;
 use dda_slm::{pretraining_dataset, GenOptions, Slm, SlmProfile, PROGRESSIVE_ORDER};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -170,30 +172,34 @@ fn shared_plan_matches_fresh_generate_for_every_instruct() {
     assert!(repaired > 0, "no repair sample came back clean");
 }
 
+/// The query every plan retrieves with (`"{instruct}\n{input}"`, top 32)
+/// gets the hits of an oracle built over the model's training entries,
+/// doc for doc and bit for bit, and the plan still samples what a fresh
+/// call does.
 #[test]
-fn shared_plan_matches_fresh_generate_on_reference_retrieval() {
+fn plan_queries_match_linear_oracle() {
     let data = {
         let mut rng = SmallRng::seed_from_u64(5);
         let corpus = dda_corpus::generate_corpus(12, &mut rng);
         augment(&corpus, &PipelineOptions::default(), &mut rng).0
     };
-    let postings = Slm::finetune(SlmProfile::llama2(13.0), &data, &PROGRESSIVE_ORDER);
-    let mut linear = Slm::finetune(SlmProfile::llama2(13.0), &data, &PROGRESSIVE_ORDER);
-    linear.set_reference_retrieval(true);
+    let model = Slm::finetune(SlmProfile::llama2(13.0), &data, &PROGRESSIVE_ORDER);
+    let linear = LinearTfIdf::over_training(&Dataset::new(), &data, &PROGRESSIVE_ORDER);
     let opts = GenOptions::default();
     for case in &cases() {
-        let plan = linear.prompt(case.instruct, &case.input, &case.context);
+        let query = format!("{}\n{}", case.instruct, case.input);
+        let fast = model.index().try_query(&query, 32).unwrap();
+        let reference = linear.query(&query, 32);
+        assert_eq!(fast.len(), reference.len(), "{:?}", case.instruct);
+        for (f, r) in fast.iter().zip(&reference) {
+            assert_eq!(f.doc, r.doc, "{:?}", case.instruct);
+            assert_eq!(f.score.to_bits(), r.score.to_bits(), "{:?}", case.instruct);
+        }
+        let plan = model.prompt(case.instruct, &case.input, &case.context);
         for seed in 0..SEEDS {
-            let shared = plan.generate(&opts, &mut SmallRng::seed_from_u64(seed));
             assert_eq!(
-                shared,
-                fresh(&linear, case, &opts, seed),
-                "{:?}",
-                case.instruct
-            );
-            assert_eq!(
-                shared,
-                fresh(&postings, case, &opts, seed),
+                plan.generate(&opts, &mut SmallRng::seed_from_u64(seed)),
+                fresh(&model, case, &opts, seed),
                 "{:?}",
                 case.instruct
             );

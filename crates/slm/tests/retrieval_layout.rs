@@ -1,6 +1,7 @@
 //! The dense-column query layout of `TfIdfIndex` returns exactly what the
-//! linear-scan reference returns: the same documents, bit-identical
-//! scores and the same tie order.
+//! linear-scan oracle `LinearTfIdf`, built over the same documents,
+//! returns: the same documents, bit-identical scores and the same tie
+//! order.
 //!
 //! The corpora are built so that every storage path and every boundary of
 //! the layout is reached (DESIGN.md §5n):
@@ -16,16 +17,23 @@
 //! in plan order, so term `t` of a plan has id `t`.
 //!
 //! The zoo tests run every Table 5 and Table 4 prompt against the six
-//! models' indexes: a small zoo here, and the seed-2024 zoo the tables use
-//! in release builds.
+//! models' indexes, each checked against an oracle built over that
+//! model's training entries: a small zoo here, and the seed-2024 zoo the
+//! tables use in release builds.
 
 use dda_benchmarks::{rtllm_table5_subset, sc_suite, thakur_suite};
 use dda_core::align::ALIGN_INSTRUCT;
 use dda_core::edascript::EDA_INSTRUCT;
+use dda_core::pipeline::{augment, PipelineOptions, StageSet};
+use dda_core::Dataset;
+use dda_eval::models::ModelId;
 use dda_eval::{ModelZoo, ZooOptions};
+use dda_slm::reference::LinearTfIdf;
 use dda_slm::tfidf::Hit;
-use dda_slm::TfIdfIndex;
+use dda_slm::{pretraining_dataset, SlmProfile, TfIdfIndex, PROGRESSIVE_ORDER};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 /// `top` values checked on an `n`-document corpus.
 fn tops(n: usize) -> [usize; 6] {
@@ -52,21 +60,25 @@ fn assert_prefix(fast: &[Hit], all: &[Hit], top: usize, what: &str) {
 /// Checks `query` at every `top` against one full linear ranking (the
 /// linear scan sorts every hit and truncates, so its top-`k` is the
 /// `k`-prefix of its full ranking).
-fn check(idx: &TfIdfIndex, query: &str, tops: &[usize]) {
-    let all = idx.try_query_linear(query, usize::MAX).unwrap();
+fn check((idx, linear): &(TfIdfIndex, LinearTfIdf), query: &str, tops: &[usize]) {
+    let all = linear.query(query, usize::MAX);
     for &top in tops {
         let fast = idx.try_query(query, top).unwrap();
         assert_prefix(&fast, &all, top, &format!("{query:?} top {top}"));
     }
 }
 
-fn build(docs: &[String]) -> TfIdfIndex {
+/// The index and its oracle over `docs`.
+fn build(docs: &[String]) -> (TfIdfIndex, LinearTfIdf) {
     let mut idx = TfIdfIndex::new();
+    let mut linear = LinearTfIdf::new();
     for d in docs {
         idx.add(d);
+        linear.add(d);
     }
     idx.finish();
-    idx
+    linear.finish();
+    (idx, linear)
 }
 
 /// A one-token word for term `t` (letters only, so it never splits).
@@ -275,12 +287,51 @@ fn table_queries() -> Vec<String> {
     queries
 }
 
-fn check_zoo(zoo: &ModelZoo) {
+/// Each zoo model's `(pretraining, finetune)` sets, rebuilt from public
+/// parts: the corpus and augmentation seeds `ModelZoo::build` uses, the
+/// completion-only set from its own `augment` run, and each profile's
+/// pretraining corpus (Ours-13B shares Ours-7B's index).
+fn zoo_training(opts: &ZooOptions) -> Vec<(ModelId, Dataset, Dataset)> {
+    let corpus =
+        dda_corpus::generate_corpus(opts.corpus_modules, &mut SmallRng::seed_from_u64(opts.seed));
+    let augmented = |stages| {
+        let pipe = PipelineOptions {
+            stages,
+            ..PipelineOptions::default()
+        };
+        augment(
+            &corpus,
+            &pipe,
+            &mut SmallRng::seed_from_u64(opts.seed ^ 0xF0),
+        )
+        .0
+    };
+    let (full, general) = (augmented(StageSet::FULL), augmented(StageSet::GENERAL_AUG));
+    [
+        (ModelId::Gpt35, SlmProfile::gpt35(), Dataset::new()),
+        (ModelId::Ours7B, SlmProfile::llama2(7.0), full.clone()),
+        (ModelId::Ours13B, SlmProfile::llama2(7.0), full),
+        (ModelId::Thakur, SlmProfile::codegen16b(), general.clone()),
+        (ModelId::Llama2Pt, SlmProfile::llama2(13.0), Dataset::new()),
+        (ModelId::GeneralAug, SlmProfile::llama2(13.0), general),
+    ]
+    .into_iter()
+    .map(|(id, profile, finetune)| (id, pretraining_dataset(&profile), finetune))
+    .collect()
+}
+
+fn check_zoo(opts: &ZooOptions) {
+    let zoo = ModelZoo::build(opts);
+    let training = zoo_training(opts);
     let queries = table_queries();
-    for (id, model) in zoo.iter() {
+    assert_eq!(zoo.iter().count(), training.len());
+    for ((id, model), (trained_id, pretraining, finetune)) in zoo.iter().zip(&training) {
+        assert_eq!(id, *trained_id);
         let idx = model.index();
+        let linear = LinearTfIdf::over_training(pretraining, finetune, &PROGRESSIVE_ORDER);
+        assert_eq!(idx.len(), linear.len(), "{id}: document count");
         for q in &queries {
-            let all = idx.try_query_linear(q, usize::MAX).unwrap();
+            let all = linear.query(q, usize::MAX);
             for top in [0, 1, 8, 32, usize::MAX] {
                 let fast = idx.try_query(q, top).unwrap();
                 assert_prefix(&fast, &all, top, &format!("{id} top {top}: {q:?}"));
@@ -291,10 +342,10 @@ fn check_zoo(zoo: &ModelZoo) {
 
 #[test]
 fn small_zoo_table_prompts_match_linear() {
-    check_zoo(&ModelZoo::build(&ZooOptions {
+    check_zoo(&ZooOptions {
         corpus_modules: 24,
         ..ZooOptions::default()
-    }));
+    });
 }
 
 /// The zoo the tables and the benchmark run (192 modules, seed 2024).
@@ -304,5 +355,5 @@ fn small_zoo_table_prompts_match_linear() {
     ignore = "release only: builds the full seed-2024 zoo"
 )]
 fn seed_2024_zoo_table_prompts_match_linear() {
-    check_zoo(&ModelZoo::build(&ZooOptions::default()));
+    check_zoo(&ZooOptions::default());
 }
