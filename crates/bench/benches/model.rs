@@ -1,9 +1,9 @@
 //! Criterion benches for the interned-token model layer: tokenisation,
 //! TF-IDF index build, postings-list retrieval vs the linear-scan oracle
 //! (`LinearTfIdf`) over the same documents, and the symbol-keyed vs
-//! string-keyed n-gram. `perfsnap`'s `"model"` section
-//! reports the same stages as one JSON snapshot; these benches give
-//! per-stage means for regression hunting.
+//! string-keyed n-gram: per-stage means for regression hunting. CI's
+//! "Model bench smoke" step fails when `model/query_postings` is slower
+//! than twice `model/query_linear` (postings below 0.5x the oracle).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dda_core::tokenize::{tokenize_lower, tokenize_syms};

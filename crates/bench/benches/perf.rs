@@ -1,8 +1,8 @@
 //! Criterion benches for the simulator hot path: frontend stages (lex,
 //! parse, elaborate) and the event loop under both execution engines on
-//! the shared 128-bit pipeline workload. `perfsnap` reports the same
-//! stages as one JSON snapshot; these benches give per-stage means for
-//! regression hunting.
+//! the shared 128-bit pipeline workload: per-stage means for regression
+//! hunting. End-to-end perf claims are measured by `perfbench` against
+//! `BENCHMARK.json`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dda_bench::perf_workload;

@@ -13,8 +13,8 @@
 //! the acceptance criterion of DESIGN.md §5k), and the supervised engine
 //! with early-exit on (same winner, cancelled speculative suffix). The
 //! binary asserts the 8-worker early-exit-off run is at least 2x faster
-//! than the sequential reference in aggregate — the same bar CI re-checks
-//! against the checked-in `BENCH_PR10.json` agent section.
+//! than the sequential reference in aggregate; CI runs `table6 --quick`,
+//! so the bar is checked on every change.
 //!
 //! Timed batches run with [`AgentProtocol::tool_wait`] set to
 //! [`TOOL_WAIT`]: each external call in a chain (draft, repair, lint +

@@ -6,9 +6,9 @@
 //! per-experiment index for the mapping.
 //!
 //! The crate exports the shared CLI flag parser [`RunFlags`] (zoo size,
-//! workers, resume journals, retrieval depth, observability), the small
-//! [`quick_zoo`] the perf snapshot uses, and [`log_summary`] for the
-//! engine's resume-and-retry counters.
+//! workers, resume journals, retrieval depth, observability), the
+//! simulator workload [`perf_workload`] of the `perf` bench, and
+//! [`log_summary`] for the engine's resume-and-retry counters.
 //!
 //! ## Example
 //!
@@ -34,14 +34,6 @@ use dda_eval::{ModelZoo, SweepOptions, ZooOptions};
 use dda_runtime::{EngineSummary, RunOptions};
 use std::fmt::Debug;
 use std::path::PathBuf;
-
-/// A smaller zoo for quick smoke runs (the `--quick` corpus size).
-pub fn quick_zoo() -> ModelZoo {
-    ModelZoo::build(&ZooOptions {
-        corpus_modules: QUICK_CORPUS_MODULES,
-        ..ZooOptions::default()
-    })
-}
 
 /// Corpus modules behind the `--quick` zoo.
 const QUICK_CORPUS_MODULES: usize = 48;
@@ -257,7 +249,7 @@ impl RunFlags {
 /// edge moves four 128-bit nonblocking updates plus a 128-bit continuous
 /// assignment through the scheduler, which is exactly the per-event shape
 /// the testbench sweeps spend their time on. Used by the `perf` Criterion
-/// bench and the `perfsnap` binary so their numbers are comparable.
+/// bench and the `obs_overhead` test.
 pub fn perf_workload(cycles: u64) -> String {
     format!(
         "module tb;\n\
@@ -278,10 +270,6 @@ pub fn perf_workload(cycles: u64) -> String {
         2 * cycles
     )
 }
-
-/// Scheduler events per [`perf_workload`] cycle (four nonblocking updates
-/// plus the continuous-assignment re-evaluation), for events/sec figures.
-pub const PERF_EVENTS_PER_CYCLE: u64 = 5;
 
 /// Logs one sweep's engine summary to stderr, mirroring the binaries'
 /// progress lines.

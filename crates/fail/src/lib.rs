@@ -57,8 +57,8 @@ use std::fmt;
 /// | `sim.cache.evict` | design-cache LRU eviction | `sleep` |
 /// | `journal.append` | journal line append | `ioerr` |
 /// | `journal.fsync` | journal durability sync | `ioerr` |
-/// | `slm.shard.merge` | sharded retrieval, pre-merge of per-shard top-k | `panic` (caught per-request), `sleep` |
-/// | `slm.shard.compact` | shard compaction, before any mutation | `panic` (index stays consistent), `sleep` |
+/// | `slm.shard.merge` | sharded retrieval, after scoring, before the hits return | `panic` (caught per-request), `sleep` |
+/// | `slm.shard.compact` | retired: no call site (shard compaction was removed) | — |
 /// | `eval.agent.round` | agent chain, top of each tool-feedback round | `panic` (quarantines the chain), `sleep` |
 ///
 /// New sites append at the END of this list: [`FaultSchedule::generate`]
@@ -76,6 +76,7 @@ pub const SITES: &[&str] = &[
     "journal.append",
     "journal.fsync",
     "slm.shard.merge",
+    // Retired (no call site), kept so the generated stream for later sites is unchanged.
     "slm.shard.compact",
     "eval.agent.round",
 ];

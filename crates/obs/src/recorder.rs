@@ -3,8 +3,8 @@
 //! A [`Recorder`] bundles one [`Metrics`](crate::metrics) registry, one
 //! optional JSONL sink, and an `AtomicBool` gate. Every public method
 //! checks the gate with a single relaxed load before doing anything else,
-//! so a disabled recorder costs one atomic read per call site — the
-//! property the `perfsnap` overhead section measures.
+//! so a disabled recorder costs one atomic read per call site. The
+//! `dda-bench` `obs_overhead` test bounds what enabling it costs.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};

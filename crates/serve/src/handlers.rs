@@ -20,9 +20,9 @@ use rand::{rngs::SmallRng, SeedableRng};
 use std::collections::BTreeMap;
 
 /// Shard count for the resident retrieval index: enough shards that the
-/// daemon's `retrieve` path always exercises the multi-shard merge (and
-/// its `slm.shard.merge` failpoint), small enough that bootstrap stays
-/// instant.
+/// daemon's `retrieve` path always exercises the multi-shard pruned query
+/// (and the `slm.shard.merge` failpoint), small enough that bootstrap
+/// stays instant.
 pub const RETRIEVE_SHARDS: usize = 4;
 
 /// Floor on the retrieval corpus size, one module per generator family,
@@ -231,7 +231,7 @@ fn run_augment(name: &str, source: &str, seed: u64) -> RespBody {
 
 /// K-nearest corpus modules for a free-text query, best first. The
 /// sharded query path runs the `slm.shard.merge` failpoint site, so
-/// chaos schedules can kill a worker mid-merge; the index is read-only
+/// chaos schedules can kill a worker mid-query; the index is read-only
 /// here, so a replayed request always sees the same state.
 fn run_retrieve(cx: &HandlerCx, query: &str, k: u64) -> RespBody {
     let k = k.clamp(1, crate::proto::MAX_RETRIEVE_K) as usize;

@@ -1,8 +1,9 @@
-//! The CI smoke scenario (satellite 5): one daemon, ~100 mixed-priority
-//! requests from 4 concurrent clients — one of which disconnects
-//! mid-request — then a graceful drain. Pass criteria: every surviving
-//! request gets a response, the daemon records zero panics, and the
-//! drain completes (the socket file disappears).
+//! The CI smoke scenario: one daemon, ~100 mixed-priority requests from
+//! 4 concurrent clients — one of which disconnects mid-request — then a
+//! graceful drain. Pass criteria: every surviving request gets a
+//! response, the daemon records zero panics and sheds nothing (its queue
+//! is sized for the storm), and the drain completes (the socket file
+//! disappears).
 //!
 //! CI runs this under a hard `timeout` wrapper, so a hang is a failure,
 //! not a stuck job.
@@ -124,7 +125,7 @@ fn smoke_storm_of_mixed_clients() {
     // everything should actually succeed.
     assert_eq!(total_errors, 0, "storm produced unexpected errors");
 
-    // Zero daemon panics, and the daemon is still fully alive.
+    // Zero daemon panics, nothing shed, and the daemon is still fully alive.
     let mut c = Client::connect(&path).unwrap();
     match c
         .call(&Request {
@@ -141,6 +142,7 @@ fn smoke_storm_of_mixed_clients() {
                 s.panics, 0,
                 "daemon caught panics during the smoke storm: {s:?}"
             );
+            assert_eq!(s.shed, 0, "storm was shed despite a sized queue: {s:?}");
             assert!(s.completed >= 3 * per_client, "stats undercount: {s:?}");
         }
         other => panic!("expected stats, got {other:?}"),

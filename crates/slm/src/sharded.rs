@@ -1,63 +1,52 @@
-//! Sharded incremental TF-IDF retrieval at serving scale.
+//! Sharded TF-IDF retrieval: insert a corpus once, then query it.
 //!
-//! [`TfIdfIndex`](crate::TfIdfIndex) is monolithic and rebuild-only:
-//! `finish()` freezes the corpus, and absorbing one new document means
-//! re-inverting everything. [`ShardedTfIdf`] keeps the same scoring model
-//! (cosine over `(1 + ln tf) · ln((n+1)/df)` weights) but partitions the
-//! corpus across `S` shards — `shard(id) = splitmix64(id) mod S` — each
-//! holding its own slot array, inverted postings, and document-frequency
-//! deltas, so the index absorbs **incremental adds and removes** with no
-//! global rebuild:
+//! [`ShardedTfIdf`] keeps the scoring model of
+//! [`TfIdfIndex`](crate::TfIdfIndex) (cosine over `(1 + ln tf) ·
+//! ln((n+1)/df)` weights) but partitions the corpus across `S` shards —
+//! `shard(id) = splitmix64(id) mod S` — each holding its own slot array,
+//! inverted postings, and document frequencies. Its callers (the daemon's
+//! `retrieve` verb and the Table 3 RAG index) insert a fixed corpus and
+//! then only query:
 //!
 //! - [`insert`] appends a slot to one shard and pushes `(slot, tf)`
 //!   postings (slot order stays ascending for free), bumping that shard's
-//!   per-term df.
-//! - [`remove`] tombstones the slot and walks back the df deltas; dead
-//!   postings are skipped at query time via their zeroed norm. When a
-//!   shard's tombstone ratio crosses the compaction threshold the shard —
-//!   and only that shard — compacts: live slots are renumbered, dead
-//!   postings dropped. Compaction never changes query results.
-//! - [`query`] / [`query_parallel`] score each shard independently and
-//!   merge per-shard top-k heaps into an **exact** global top-k: a
-//!   document in the global top-k is necessarily in its own shard's
-//!   top-k, so the merged union provably contains every global winner.
-//!   With a single shard the scoring pass is a dense accumulator +
-//!   touched list + `select_nth_unstable` over the shard's postings. With
-//!   multiple shards each shard prunes: query terms are visited in
-//!   descending upper-bound order (per-shard max document weight × idf ×
-//!   query weight), and once the remaining terms' summed bound — divided
-//!   by the shard's minimum live norm — falls strictly below the current
-//!   top-k threshold, no unseen document can enter the top-k and the
-//!   shard stops early. Candidates are rescored *exactly* (canonical
+//!   per-term df. No rebuild of any kind.
+//! - [`query`] returns an **exact** global top-k. With a single shard the
+//!   scoring pass is a dense accumulator + touched list +
+//!   `select_nth_unstable` over the shard's postings. With multiple shards
+//!   the query prunes: `(shard, term)` pairs are visited in descending
+//!   upper-bound order (per-shard max document weight × idf × query
+//!   weight), and once a shard's remaining terms' summed bound — divided
+//!   by the shard's minimum norm — falls strictly below the current top-k
+//!   threshold, no unseen document of that shard can enter the top-k and
+//!   the shard stops early. Candidates are rescored *exactly* (canonical
 //!   term order, same expressions), so pruning changes wall-clock, never
 //!   results.
 //!
 //! # Determinism contract
 //!
 //! Results (hits, scores, tie order) are **bit-identical** to a
-//! from-scratch rebuild of the surviving corpus at every point in an
-//! add/remove sequence, and invariant across shard counts and worker
-//! counts. Three mechanisms carry the proof:
+//! from-scratch sequential build of the same corpus at every point in an
+//! insert/query sequence, and invariant across shard counts. Three
+//! mechanisms carry the proof:
 //!
 //! 1. Raw term frequencies are stored; idf weighting happens at query
 //!    time from exact integer `(df, n)` state, which an incremental
-//!    sequence and a rebuild agree on by construction.
+//!    sequence and a fresh build agree on by construction.
 //! 2. Every float accumulation (query norm, document norms, dot
 //!    products) runs in *canonical term order* — terms sorted by their
 //!    resolved string, never by interner symbol value or first-sighting
 //!    order — so the summation order does not depend on insertion
-//!    history, shard layout, or thread interleaving.
+//!    history or shard layout.
 //! 3. Ranking order `(score desc, id asc)` is total (ids are unique),
-//!    so per-shard selection and the global merge sort are
-//!    order-stable regardless of how documents are distributed.
+//!    so selection and the final sort are order-stable regardless of how
+//!    documents are distributed.
 //!
 //! The equivalence battery in `tests/sharded_props.rs` checks exactly
-//! this across shard counts 1/4/16 and worker counts 1/2/8.
+//! this across shard counts 1/4/16.
 //!
-//! Failpoints (compiled out by default, see `dda_fail`): `slm.shard.merge`
-//! fires before the cross-shard merge, `slm.shard.compact` before a shard
-//! compaction mutates anything — so an injected crash always leaves the
-//! index consistent.
+//! Failpoint (compiled out by default, see `dda_fail`): `slm.shard.merge`
+//! fires once the shards are scored, before the hits are returned.
 //!
 //! ```
 //! use dda_slm::ShardedTfIdf;
@@ -65,22 +54,20 @@
 //! let mut idx = ShardedTfIdf::new(4);
 //! idx.insert(7, "a counter with reset and enable").unwrap();
 //! idx.insert(9, "a four to one multiplexer").unwrap();
+//! assert_eq!(idx.len(), 2);
 //! let hits = idx.query("counter reset", 2);
+//! assert_eq!(hits.len(), 1);
 //! assert_eq!(hits[0].id, 7);
-//! assert!(idx.remove(7));
-//! assert!(idx.query("counter reset", 2).is_empty());
+//! assert!(idx.query("shift register", 2).is_empty());
 //! ```
 //!
 //! [`insert`]: ShardedTfIdf::insert
-//! [`remove`]: ShardedTfIdf::remove
 //! [`query`]: ShardedTfIdf::query
-//! [`query_parallel`]: ShardedTfIdf::query_parallel
 #![deny(missing_docs)]
 
 use crate::tfidf::IndexError;
 use dda_core::intern::{resolve, Sym};
 use dda_core::tokenize::{lookup_syms, tokenize_syms};
-use dda_runtime::{run_supervised, RunOptions, UnitError, UnitOutcome};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -116,41 +103,33 @@ struct Slot {
     id: u64,
     /// Sparse `(term, raw tf)` vector in canonical (string-sorted) order.
     terms: Vec<(Sym, f64)>,
-    /// `false` once tombstoned by [`ShardedTfIdf::remove`].
-    alive: bool,
 }
 
-/// One shard: slots, inverted postings, and df deltas for its documents.
+/// One shard: slots, inverted postings, and df counts for its documents.
 #[derive(Debug, Clone, Default)]
 struct Shard {
     slots: Vec<Slot>,
-    /// Term → `(slot, raw tf)` postings in ascending slot order (appends
-    /// only; compaction renumbers in place preserving order).
+    /// Term → `(slot, raw tf)` postings in ascending slot order.
     postings: HashMap<Sym, Vec<(u32, f64)>>,
-    /// Per-shard document frequency over *live* slots. Entries drop out
-    /// at zero so the global df (the sum over shards) matches what a
-    /// from-scratch rebuild would count.
+    /// Per-shard document frequency; the global df is the sum over
+    /// shards.
     df: HashMap<Sym, u32>,
     /// Per-term maximum `1 + ln tf` over this shard's documents — the
     /// df-free half of the document weight, used as a pruning upper
-    /// bound. Removals leave it stale-high (still a valid bound, just
-    /// looser); compaction recomputes it exactly. Bounds only decide
-    /// what *not* to score, so staleness can never change results.
+    /// bound.
     max_lw: HashMap<Sym, f64>,
-    /// Live document id → slot.
-    by_id: HashMap<u64, u32>,
-    live: usize,
-    dead: usize,
-    /// Σ distinct terms over live slots — `live_terms / live` is the
-    /// average document length the query planner's cost model uses to
-    /// choose between candidate rescoring and dense completion.
-    live_terms: usize,
+    /// Ids of the documents in this shard.
+    ids: HashSet<u64>,
+    /// Σ distinct terms over slots — `terms / slots` is the average
+    /// document length the query planner's cost model uses to choose
+    /// between candidate rescoring and dense completion.
+    terms: usize,
 }
 
 impl Shard {
-    /// Inserts a document; `false` if `id` is already live here.
+    /// Inserts a document; `false` if `id` is already here.
     fn insert_doc(&mut self, id: u64, text: &str) -> bool {
-        if self.by_id.contains_key(&id) {
+        if !self.ids.insert(id) {
             return false;
         }
         let terms = canonical_terms(tokenize_syms(text));
@@ -164,86 +143,15 @@ impl Shard {
                 *bound = lw;
             }
         }
-        self.by_id.insert(id, slot);
-        self.live_terms += terms.len();
-        self.slots.push(Slot {
-            id,
-            terms,
-            alive: true,
-        });
-        self.live += 1;
+        self.terms += terms.len();
+        self.slots.push(Slot { id, terms });
         true
     }
 
-    /// Tombstones `id`; `false` if it is not live here.
-    fn remove_doc(&mut self, id: u64) -> bool {
-        let Some(slot) = self.by_id.remove(&id) else {
-            return false;
-        };
-        let slot = &mut self.slots[slot as usize];
-        slot.alive = false;
-        for (sym, _) in &slot.terms {
-            if let Some(df) = self.df.get_mut(sym) {
-                *df -= 1;
-                if *df == 0 {
-                    self.df.remove(sym);
-                }
-            }
-        }
-        self.live_terms -= slot.terms.len();
-        self.live -= 1;
-        self.dead += 1;
-        true
-    }
-
-    /// Average distinct terms per live document, ≥ 1 — the unit cost of
+    /// Average distinct terms per document, ≥ 1 — the unit cost of
     /// exactly rescoring one candidate, for the rescore-vs-dense switch.
     fn avg_doc_terms(&self) -> u64 {
-        (self.live_terms / self.live.max(1)).max(1) as u64
-    }
-
-    /// Drops tombstoned slots and their postings, renumbering live slots
-    /// in place. Pure housekeeping: query results are unchanged.
-    fn compact(&mut self) {
-        dda_fail::fail_point!("slm.shard.compact");
-        dda_obs::count("slm.shard.compactions", 1);
-        let old = std::mem::take(&mut self.slots);
-        let mut remap: Vec<Option<u32>> = vec![None; old.len()];
-        let mut slots = Vec::with_capacity(self.live);
-        for (i, slot) in old.into_iter().enumerate() {
-            if slot.alive {
-                remap[i] = Some(slots.len() as u32);
-                slots.push(slot);
-            }
-        }
-        self.slots = slots;
-        self.postings.retain(|_, plist| {
-            plist.retain_mut(|(slot, _)| match remap[*slot as usize] {
-                Some(ns) => {
-                    *slot = ns;
-                    true
-                }
-                None => false,
-            });
-            !plist.is_empty()
-        });
-        self.by_id = self
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.id, i as u32))
-            .collect();
-        self.max_lw.clear();
-        for slot in &self.slots {
-            for &(sym, tf) in &slot.terms {
-                let lw = 1.0 + tf.ln();
-                let bound = self.max_lw.entry(sym).or_insert(0.0);
-                if lw > *bound {
-                    *bound = lw;
-                }
-            }
-        }
-        self.dead = 0;
+        (self.terms / self.slots.len().max(1)).max(1) as u64
     }
 }
 
@@ -410,12 +318,13 @@ fn rescore(doc: &Slot, qweights: &HashMap<Sym, (f64, f64)>, qnorm: f64, norm: f6
 }
 
 /// Per-slot norms, cached per index epoch and rebuilt lazily on the
-/// first query after a mutation.
+/// first query after an insert.
 #[derive(Debug, Default)]
 struct NormCache {
     /// Index epoch the cache was computed at; `None` = never computed.
     epoch: Option<u64>,
-    /// `[shard][slot]` — dead slots carry `0.0` and never score.
+    /// `[shard][slot]` — an empty document carries `0.0` and is on no
+    /// posting list, so it never scores.
     shards: Vec<Vec<f64>>,
     /// Per-shard minimum norm over scorable slots (norm > 0), used to
     /// turn dot-product pruning bounds into cosine bounds. `INFINITY`
@@ -423,16 +332,14 @@ struct NormCache {
     mins: Vec<f64>,
 }
 
-/// Sharded TF-IDF index with incremental add/remove. See the
+/// Sharded TF-IDF index you insert a corpus into, then query. See the
 /// [module docs](self) for layout and the determinism contract.
 pub struct ShardedTfIdf {
     shards: Vec<Shard>,
-    /// Total live documents (the `n` of the idf formula).
-    live: usize,
-    /// Bumped on every mutation; the norm cache keys off it.
+    /// Total documents (the `n` of the idf formula).
+    len: usize,
+    /// Bumped on every insert; the norm cache keys off it.
     epoch: u64,
-    /// Tombstone ratio above which a shard compacts.
-    compact_threshold: f64,
     norms: RwLock<NormCache>,
 }
 
@@ -440,124 +347,36 @@ impl fmt::Debug for ShardedTfIdf {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ShardedTfIdf")
             .field("shards", &self.shards.len())
-            .field("live", &self.live)
-            .field("tombstones", &self.tombstones())
+            .field("len", &self.len)
             .field("epoch", &self.epoch)
             .finish()
     }
 }
 
-/// Default tombstone ratio that triggers a shard compaction.
-pub const DEFAULT_COMPACT_THRESHOLD: f64 = 0.25;
-
-/// Shards smaller than this never compact — the ratio is meaningless at
-/// a handful of slots and thrashing them helps nobody.
-const COMPACT_MIN_SLOTS: usize = 8;
-
 impl ShardedTfIdf {
-    /// Creates an empty index over `shards` shards (clamped to ≥ 1) with
-    /// the [default compaction threshold](DEFAULT_COMPACT_THRESHOLD).
+    /// Creates an empty index over `shards` shards (clamped to ≥ 1).
     pub fn new(shards: usize) -> Self {
-        Self::with_compact_threshold(shards, DEFAULT_COMPACT_THRESHOLD)
-    }
-
-    /// Creates an empty index with an explicit tombstone-ratio threshold
-    /// (a shard compacts when `dead/slots` exceeds it).
-    pub fn with_compact_threshold(shards: usize, threshold: f64) -> Self {
         ShardedTfIdf {
             shards: vec![Shard::default(); shards.max(1)],
-            live: 0,
+            len: 0,
             epoch: 0,
-            compact_threshold: threshold,
             norms: RwLock::new(NormCache::default()),
         }
     }
 
-    /// Builds an index over `(id, text)` documents, fanning shard
-    /// construction out over `dda_runtime` workers. Each shard's
-    /// documents are processed in input order, so the result is
-    /// bit-identical to sequential [`insert`](Self::insert)s for any
-    /// worker count.
-    ///
-    /// # Errors
-    ///
-    /// [`IndexError::DuplicateId`] if two documents share an id.
-    pub fn build_parallel(
-        docs: &[(u64, String)],
-        shards: usize,
-        opts: &RunOptions,
-    ) -> Result<Self, IndexError> {
-        let shards = shards.max(1);
-        let mut seen = HashSet::with_capacity(docs.len());
-        for (id, _) in docs {
-            if !seen.insert(*id) {
-                return Err(IndexError::DuplicateId(*id));
-            }
-        }
-        let mut parts: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for (i, (id, _)) in docs.iter().enumerate() {
-            parts[(splitmix64(*id) % shards as u64) as usize].push(i);
-        }
-        let build_one = |s: usize| {
-            let mut shard = Shard::default();
-            for &i in &parts[s] {
-                shard.insert_doc(docs[i].0, &docs[i].1);
-            }
-            shard
-        };
-        let built: Vec<Shard> = if opts.workers > 1 {
-            run_supervised(shards, opts, |unit, _token| {
-                Ok::<_, UnitError>(build_one(unit))
-            })
-            .units
-            .into_iter()
-            .map(|u| match u.outcome {
-                UnitOutcome::Ok(shard) => shard,
-                // Shard construction cannot fail, but stay total: redo
-                // the unit in-line.
-                UnitOutcome::Quarantined { .. } => build_one(u.unit),
-            })
-            .collect()
-        } else {
-            (0..shards).map(build_one).collect()
-        };
-        let live = built.iter().map(|s| s.live).sum();
-        Ok(ShardedTfIdf {
-            shards: built,
-            live,
-            epoch: 0,
-            compact_threshold: DEFAULT_COMPACT_THRESHOLD,
-            norms: RwLock::new(NormCache::default()),
-        })
-    }
-
-    /// Number of live (non-tombstoned) documents.
+    /// Number of indexed documents.
     pub fn len(&self) -> usize {
-        self.live
+        self.len
     }
 
-    /// `true` when no live documents are indexed.
+    /// `true` when no documents are indexed.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len == 0
     }
 
     /// Number of shards the corpus is partitioned across.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Tombstoned slots not yet reclaimed by compaction.
-    pub fn tombstones(&self) -> usize {
-        self.shards.iter().map(|s| s.dead).sum()
-    }
-
-    /// `true` if `id` is live in the index.
-    pub fn contains(&self, id: u64) -> bool {
-        self.shard_of(id).by_id.contains_key(&id)
-    }
-
-    fn shard_of(&self, id: u64) -> &Shard {
-        &self.shards[(splitmix64(id) % self.shards.len() as u64) as usize]
     }
 
     /// Adds a document under a caller-assigned id. O(doc terms) — no
@@ -572,47 +391,20 @@ impl ShardedTfIdf {
     ///
     /// # Errors
     ///
-    /// [`IndexError::DuplicateId`] if `id` is already live.
+    /// [`IndexError::DuplicateId`] if `id` is already indexed.
     pub fn insert(&mut self, id: u64, text: &str) -> Result<(), IndexError> {
         dda_obs::count("slm.shard.inserts", 1);
         let s = (splitmix64(id) % self.shards.len() as u64) as usize;
         if !self.shards[s].insert_doc(id, text) {
             return Err(IndexError::DuplicateId(id));
         }
-        self.live += 1;
+        self.len += 1;
         self.epoch += 1;
         Ok(())
     }
 
-    /// Tombstones a document; `false` if `id` is not live. Compacts the
-    /// owning shard when its tombstone ratio crosses the threshold.
-    ///
-    /// ```
-    /// let mut idx = dda_slm::ShardedTfIdf::new(2);
-    /// idx.insert(3, "a simple shift register").unwrap();
-    /// assert!(idx.remove(3));
-    /// assert!(!idx.remove(3)); // already gone
-    /// assert!(idx.query("shift register", 5).is_empty());
-    /// ```
-    pub fn remove(&mut self, id: u64) -> bool {
-        let s = (splitmix64(id) % self.shards.len() as u64) as usize;
-        if !self.shards[s].remove_doc(id) {
-            return false;
-        }
-        dda_obs::count("slm.shard.removes", 1);
-        self.live -= 1;
-        self.epoch += 1;
-        let shard = &mut self.shards[s];
-        if shard.slots.len() >= COMPACT_MIN_SLOTS
-            && shard.dead as f64 / shard.slots.len() as f64 > self.compact_threshold
-        {
-            shard.compact();
-        }
-        true
-    }
-
     /// Global document frequency of `sym`: the sum of the per-shard
-    /// deltas — exactly what a rebuild of the surviving corpus counts.
+    /// counts — exactly what a single-shard build counts.
     fn global_df(&self, sym: Sym) -> u32 {
         self.shards
             .iter()
@@ -621,9 +413,9 @@ impl ShardedTfIdf {
     }
 
     /// Query-side weights in canonical term order. Terms with zero
-    /// global df are dropped — they would not exist in a rebuilt index.
+    /// global df are dropped — no document can match them.
     fn query_terms(&self, query: &str) -> (Vec<QueryTerm>, f64) {
-        let n = self.live.max(1) as f64;
+        let n = self.len.max(1) as f64;
         let mut terms = Vec::new();
         let mut qnorm_sq = 0.0;
         // A token the interner has never seen is in no shard.
@@ -640,12 +432,12 @@ impl ShardedTfIdf {
         (terms, qnorm_sq.sqrt())
     }
 
-    /// Recomputes per-slot norms if any mutation happened since the last
-    /// query. Norms use the *global* df, so one shard's mutation
+    /// Recomputes per-slot norms if any insert happened since the last
+    /// query. Norms use the *global* df, so an insert into one shard
     /// invalidates every shard's cache; the refresh is a linear pass
-    /// over live postings — far cheaper than a rebuild (no tokenizing,
-    /// no hashing, no inversion) and amortised across every query until
-    /// the next mutation.
+    /// over the slots — far cheaper than a rebuild (no tokenizing, no
+    /// hashing, no inversion) and amortised across every query until the
+    /// next insert.
     fn ensure_norms(&self) {
         {
             let cache = self.norms.read().unwrap();
@@ -657,8 +449,8 @@ impl ShardedTfIdf {
         if cache.epoch == Some(self.epoch) {
             return;
         }
-        let n = self.live.max(1) as f64;
-        // Global df snapshot: sum the per-shard deltas once.
+        let n = self.len.max(1) as f64;
+        // Global df snapshot: sum the per-shard counts once.
         let mut df: HashMap<Sym, u32> = HashMap::new();
         for shard in &self.shards {
             for (sym, d) in &shard.df {
@@ -673,9 +465,6 @@ impl ShardedTfIdf {
                     .slots
                     .iter()
                     .map(|slot| {
-                        if !slot.alive {
-                            return 0.0;
-                        }
                         slot.terms
                             .iter()
                             .map(|(sym, tf)| {
@@ -703,8 +492,9 @@ impl ShardedTfIdf {
         cache.epoch = Some(self.epoch);
     }
 
-    /// Scores `query` against one shard: dense accumulator over slots,
-    /// touched list, per-shard top-k via `select_nth_unstable`.
+    /// Scores `query` against a single-shard index's only shard: dense
+    /// accumulator over slots, touched list, top-k via
+    /// `select_nth_unstable`.
     fn shard_topk(
         &self,
         shard: &Shard,
@@ -733,14 +523,12 @@ impl ShardedTfIdf {
             .into_iter()
             .filter_map(|slot| {
                 let dot = acc[slot as usize];
-                let norm = norms[slot as usize];
-                // Dead slots carry norm 0.0 — the tombstone check.
-                if dot == 0.0 || norm == 0.0 {
+                if dot == 0.0 {
                     return None;
                 }
                 Some(ShardHit {
                     id: shard.slots[slot as usize].id,
-                    score: dot / (qnorm * norm),
+                    score: dot / (qnorm * norms[slot as usize]),
                 })
             })
             .collect();
@@ -751,72 +539,6 @@ impl ShardedTfIdf {
         hits.sort_unstable_by(hit_order);
         hits.truncate(top);
         hits
-    }
-
-    /// Scores `query` against one shard with exact MaxScore-style
-    /// pruning, feeding a top-k heap shared across shards. Terms are
-    /// visited in descending upper-bound order (`weight · idf ·
-    /// max_lw`); once the heap is full and the remaining terms' summed
-    /// bound over the shard's minimum live norm falls strictly below the
-    /// heap threshold (with [`PRUNE_SLACK`] absorbing float-summation
-    /// order effects), every unseen document is provably outside the
-    /// top-k and the shard stops. Seen candidates are rescored *exactly*
-    /// — walking the slot's canonical term vector with the same
-    /// `(1 + ln tf) · idf` expressions the dense pass uses, which visits
-    /// the query∩document terms in the identical canonical order — so
-    /// scores are bit-identical to [`shard_topk`](Self::shard_topk) and
-    /// pruning can only change wall-clock, never results.
-    #[allow(clippy::too_many_arguments)] // bound state threads through by reference; a struct would just rename the list
-    fn shard_topk_pruned(
-        &self,
-        shard: &Shard,
-        norms: &[f64],
-        min_norm: f64,
-        terms: &[QueryTerm],
-        qweights: &HashMap<Sym, (f64, f64)>,
-        qnorm: f64,
-        heap: &mut TopK,
-    ) {
-        let mut plan = Plan::new(shard, terms);
-        if plan.order.is_empty() {
-            return;
-        }
-        let avg_len = shard.avg_doc_terms();
-        let mut seen = vec![false; shard.slots.len()];
-        while plan.next < plan.order.len() {
-            let j = plan.next;
-            if let Some(worst) = heap.threshold() {
-                // Unseen documents contain none of the visited terms, so
-                // their cosine is at most rest[j]/(qnorm·min_norm). The
-                // comparison is strict and slack-inflated: a document
-                // whose score could *tie* the threshold (and win on id)
-                // is never skipped.
-                if plan.rest[j] * PRUNE_SLACK / (qnorm * min_norm) < worst {
-                    return;
-                }
-            }
-            // Cost model: rescoring this term's candidates costs about
-            // df · avg-doc-length map probes; densely finishing *all*
-            // remaining terms costs their summed posting lengths. When
-            // the single term is the more expensive option — common
-            // terms with huge, low-value posting lists — switch modes.
-            if plan.df(j).saturating_mul(avg_len) > plan.suffix_df[j] {
-                self.dense_complete(
-                    shard, norms, min_norm, &plan, terms, qweights, qnorm, &mut seen, heap,
-                );
-                return;
-            }
-            plan.next = j + 1;
-            self.score_term_candidates(
-                shard,
-                norms,
-                &mut seen,
-                terms[plan.order[j].1].sym,
-                qweights,
-                qnorm,
-                heap,
-            );
-        }
     }
 
     /// Rescores every not-yet-seen document on `sym`'s posting list and
@@ -842,13 +564,8 @@ impl ShardedTfIdf {
                 continue;
             }
             seen[si] = true;
-            let norm = norms[si];
-            // Dead slots carry norm 0.0 — the tombstone check.
-            if norm == 0.0 {
-                continue;
-            }
             let doc = &shard.slots[si];
-            if let Some(score) = rescore(doc, qweights, qnorm, norm) {
+            if let Some(score) = rescore(doc, qweights, qnorm, norms[si]) {
                 heap.push(ShardHit { id: doc.id, score });
             }
         }
@@ -916,12 +633,7 @@ impl ShardedTfIdf {
             .into_iter()
             .filter_map(|slot| {
                 let si = slot as usize;
-                let norm = norms[si];
-                // Dead slots carry norm 0.0 — the tombstone check.
-                if norm == 0.0 {
-                    return None;
-                }
-                let ub = (acc[si] + unvisited_bound) * PRUNE_SLACK / (qnorm * norm);
+                let ub = (acc[si] + unvisited_bound) * PRUNE_SLACK / (qnorm * norms[si]);
                 if let Some(worst) = entry_threshold {
                     if ub < worst {
                         return None;
@@ -946,16 +658,20 @@ impl ShardedTfIdf {
         }
     }
 
-    /// The sequential multi-shard scoring pass: all shards share one
-    /// heap, and `(shard, term)` pairs are visited in globally
-    /// descending upper-bound order. Global ordering matters — every
-    /// shard's discriminative terms run before *any* shard's common
-    /// terms, so the threshold is already hard by the time the huge
-    /// low-idf posting lists come up and whole shards prune in one
-    /// comparison. (Per-shard order would fill the heap from the first
-    /// shard's slice alone, leaving a weak threshold.) Pruning a shard
-    /// uses the same suffix-bound test as [`shard_topk_pruned`]
-    /// (Self::shard_topk_pruned), so exactness is untouched.
+    /// The multi-shard scoring pass, exact MaxScore-style pruning: all
+    /// shards share one top-k heap, and `(shard, term)` pairs are visited
+    /// in globally descending upper-bound order (`weight · idf ·
+    /// max_lw`). Global ordering matters — every shard's discriminative
+    /// terms run before *any* shard's common terms, so the threshold is
+    /// already hard by the time the huge low-idf posting lists come up
+    /// and whole shards prune in one comparison. Once the heap is full
+    /// and a shard's remaining terms' summed bound over its minimum norm
+    /// falls strictly below the heap threshold (with [`PRUNE_SLACK`]
+    /// absorbing float-summation order effects), every unseen document
+    /// of that shard is provably outside the top-k and the shard stops.
+    /// Seen candidates are rescored *exactly* by [`rescore`], so scores
+    /// are bit-identical to [`shard_topk`](Self::shard_topk) and pruning
+    /// can only change wall-clock, never results.
     fn pruned_topk(
         &self,
         cache: &NormCache,
@@ -1001,9 +717,12 @@ impl ShardedTfIdf {
                     continue;
                 }
             }
-            // Same cost model as the per-shard path: a term whose
-            // posting list is too long to rescore candidate-by-candidate
-            // flips its shard into one dense completion pass.
+            // Cost model: rescoring this term's candidates costs about
+            // df · avg-doc-length map probes; densely finishing *all* the
+            // shard's remaining terms costs their summed posting lengths.
+            // When the single term is the more expensive option — common
+            // terms with huge, low-value posting lists — the shard flips
+            // into one dense completion pass.
             if plans[s].df(rank).saturating_mul(avg_lens[s]) > plans[s].suffix_df[rank] {
                 self.dense_complete(
                     &self.shards[s],
@@ -1034,30 +753,13 @@ impl ShardedTfIdf {
         heap.into_hits()
     }
 
-    /// Exact global top-k from per-shard top-k lists. Correctness: if a
-    /// document ranks in the global top-k, fewer than k documents beat
-    /// it anywhere — in particular within its own shard — so it is in
-    /// its shard's top-k and therefore in the merged union.
-    fn merge(&self, mut per_shard: Vec<Vec<ShardHit>>, top: usize) -> Vec<ShardHit> {
-        dda_fail::fail_point!("slm.shard.merge");
-        if per_shard.len() == 1 {
-            return per_shard.pop().unwrap();
-        }
-        let mut hits: Vec<ShardHit> = per_shard.into_iter().flatten().collect();
-        hits.sort_unstable_by(hit_order);
-        hits.truncate(top);
-        hits
-    }
-
-    /// Scores `query` against every live document, best first, at most
-    /// `top` hits. Sequential over shards; results are identical to
-    /// [`query_parallel`](Self::query_parallel) for any worker count.
+    /// Scores `query` against every document, best first, at most `top`
+    /// hits.
     ///
     /// Single-shard indexes take the dense scoring pass; multi-shard
-    /// indexes take the pruned path (`pruned_topk`) with one top-k
-    /// heap threaded through the shards, so each shard prunes against
-    /// the best documents found so far anywhere. Both paths are
-    /// bit-identical.
+    /// indexes take the pruned path (`pruned_topk`) with one top-k heap
+    /// threaded through the shards, so each shard prunes against the best
+    /// documents found so far anywhere. Both paths are bit-identical.
     ///
     /// ```
     /// let mut idx = dda_slm::ShardedTfIdf::new(4);
@@ -1075,63 +777,15 @@ impl ShardedTfIdf {
         }
         self.ensure_norms();
         let cache = self.norms.read().unwrap();
-        let per_shard: Vec<Vec<ShardHit>> = if self.shards.len() == 1 {
-            vec![self.shard_topk(&self.shards[0], &cache.shards[0], &terms, qnorm, top)]
+        let hits = if self.shards.len() == 1 {
+            self.shard_topk(&self.shards[0], &cache.shards[0], &terms, qnorm, top)
         } else {
             let qweights: HashMap<Sym, (f64, f64)> =
                 terms.iter().map(|t| (t.sym, (t.weight, t.idf))).collect();
-            vec![self.pruned_topk(&cache, &terms, &qweights, qnorm, top)]
+            self.pruned_topk(&cache, &terms, &qweights, qnorm, top)
         };
-        self.merge(per_shard, top)
-    }
-
-    /// [`query`](Self::query) with per-shard scoring fanned out over
-    /// `dda_runtime` workers. Bit-identical output for any worker count:
-    /// shards are scored independently and merged in shard order.
-    pub fn query_parallel(&self, query: &str, top: usize, opts: &RunOptions) -> Vec<ShardHit> {
-        if opts.workers <= 1 || self.shards.len() == 1 {
-            return self.query(query, top);
-        }
-        dda_obs::count("slm.query.sharded", 1);
-        let (terms, qnorm) = self.query_terms(query);
-        if qnorm == 0.0 {
-            return Vec::new();
-        }
-        self.ensure_norms();
-        let qweights: HashMap<Sym, (f64, f64)> =
-            terms.iter().map(|t| (t.sym, (t.weight, t.idf))).collect();
-        // Per-shard heaps here (no cross-shard threshold — shards score
-        // concurrently), merged below. A shard's own top-k is a superset
-        // of its contribution to the global top-k, so the merge is exact
-        // and the output matches the sequential shared-heap path bit for
-        // bit.
-        let score_one = |s: usize| {
-            let cache = self.norms.read().unwrap();
-            let mut heap = TopK::new(top);
-            self.shard_topk_pruned(
-                &self.shards[s],
-                &cache.shards[s],
-                cache.mins[s],
-                &terms,
-                &qweights,
-                qnorm,
-                &mut heap,
-            );
-            heap.into_hits()
-        };
-        let per_shard: Vec<Vec<ShardHit>> =
-            run_supervised(self.shards.len(), opts, |unit, _token| {
-                Ok::<_, UnitError>(score_one(unit))
-            })
-            .units
-            .into_iter()
-            .map(|u| match u.outcome {
-                UnitOutcome::Ok(hits) => hits,
-                // Scoring cannot fail, but stay total: redo in-line.
-                UnitOutcome::Quarantined { .. } => score_one(u.unit),
-            })
-            .collect();
-        self.merge(per_shard, top)
+        dda_fail::fail_point!("slm.shard.merge");
+        hits
     }
 }
 
@@ -1175,20 +829,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_matches_rebuild() {
-        let mut idx = sharded(4, DOCS);
-        assert!(idx.remove(13));
-        assert!(!idx.remove(13));
-        let survivors: Vec<(u64, &str)> =
-            DOCS.iter().filter(|(id, _)| *id != 13).copied().collect();
-        let rebuilt = sharded(4, &survivors);
-        for q in ["counter", "module counter reset", "clock edge"] {
-            assert_eq!(idx.query(q, 5), rebuilt.query(q, 5), "{q}");
-        }
-        assert_eq!(idx.len(), 4);
-    }
-
-    #[test]
     fn duplicate_insert_is_typed_error() {
         let mut idx = sharded(4, DOCS);
         assert_eq!(idx.insert(10, "again"), Err(IndexError::DuplicateId(10)),);
@@ -1197,78 +837,6 @@ mod tests {
         assert_eq!(
             idx.query("counter", 5),
             sharded(4, DOCS).query("counter", 5)
-        );
-    }
-
-    #[test]
-    fn reinsert_after_remove_is_allowed() {
-        let mut idx = sharded(4, DOCS);
-        assert!(idx.remove(10));
-        idx.insert(10, "a counter with reset and enable").unwrap();
-        assert!(idx.contains(10));
-        assert_eq!(idx.query("counter reset enable", 1)[0].id, 10);
-    }
-
-    #[test]
-    fn compaction_triggers_and_preserves_results() {
-        // Single shard so the tombstone ratio is easy to force.
-        let mut idx = ShardedTfIdf::new(1);
-        for id in 0..16u64 {
-            idx.insert(id, &format!("module m{id} counter value {id}"))
-                .unwrap();
-        }
-        for id in 0..6u64 {
-            idx.remove(id);
-        }
-        // The 5th remove crosses the ratio (5/16 > 0.25) and compacts;
-        // the 6th leaves a single fresh tombstone in the shrunken shard.
-        assert_eq!(idx.tombstones(), 1);
-        let survivors: Vec<(u64, String)> = (6..16u64)
-            .map(|id| (id, format!("module m{id} counter value {id}")))
-            .collect();
-        let mut rebuilt = ShardedTfIdf::new(1);
-        for (id, text) in &survivors {
-            rebuilt.insert(*id, text).unwrap();
-        }
-        assert_eq!(
-            idx.query("counter module", 16),
-            rebuilt.query("counter module", 16)
-        );
-    }
-
-    #[test]
-    fn parallel_build_and_query_match_sequential() {
-        let docs: Vec<(u64, String)> = (0..64u64)
-            .map(|id| {
-                (
-                    id * 7 + 1,
-                    format!("module m{id} with counter {} and reset", id % 5),
-                )
-            })
-            .collect();
-        let mut seq = ShardedTfIdf::new(4);
-        for (id, text) in &docs {
-            seq.insert(*id, text).unwrap();
-        }
-        let opts = RunOptions {
-            workers: 4,
-            ..RunOptions::default()
-        };
-        let par = ShardedTfIdf::build_parallel(&docs, 4, &opts).unwrap();
-        for q in ["counter reset", "module m3", "m12"] {
-            let expected = seq.query(q, 8);
-            assert_eq!(expected, par.query(q, 8), "{q}");
-            assert_eq!(expected, par.query_parallel(q, 8, &opts), "{q} parallel");
-        }
-    }
-
-    #[test]
-    fn build_parallel_rejects_duplicate_ids() {
-        let docs = vec![(1u64, "a".to_string()), (1u64, "b".to_string())];
-        let opts = RunOptions::default();
-        assert_eq!(
-            ShardedTfIdf::build_parallel(&docs, 4, &opts).err(),
-            Some(IndexError::DuplicateId(1))
         );
     }
 
