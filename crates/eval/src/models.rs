@@ -138,7 +138,8 @@ fn completion_only(
 impl ModelZoo {
     /// Builds the zoo: generates the corpus, runs the augmentation pipeline
     /// (its completion groups are the completion-only variant), and
-    /// finetunes every profile.
+    /// finetunes every profile. Every model gets its own plan cache
+    /// ([`Slm::with_plan_cache`]).
     pub fn build(opts: &ZooOptions) -> ModelZoo {
         let _build_span = dda_obs::span("zoo.build");
         let mut rng = SmallRng::seed_from_u64(opts.seed);
@@ -177,7 +178,7 @@ impl ModelZoo {
         // Ours-13B differs from Ours-7B only in capacity: same data, same
         // floors, same pretraining, so it shares the trained index.
         let ours13 = ours7.with_capacity("Llama 2-FT (Ours) 13B", 13.0);
-        let models = vec![
+        let models = [
             (ModelId::Gpt35, gpt35),
             (ModelId::Ours7B, ours7),
             (ModelId::Ours13B, ours13),
@@ -185,6 +186,13 @@ impl ModelZoo {
             (ModelId::Llama2Pt, build(SlmProfile::llama2(13.0), &empty)),
             (ModelId::GeneralAug, build(general13, &general)),
         ];
+        // The tables prompt each model with fixed suites, again per
+        // protocol seed, round budget and table: every model plans each
+        // distinct prompt once (DESIGN.md §5s).
+        let models = models
+            .into_iter()
+            .map(|(id, model)| (id, model.with_plan_cache()))
+            .collect();
         ModelZoo { models }
     }
 

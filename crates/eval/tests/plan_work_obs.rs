@@ -1,13 +1,16 @@
-//! Work counts of the pass@k loops: each evaluator plans its prompt once,
-//! so the per-prompt work does not repeat per sample.
+//! Work counts of the pass@k loops: each zoo model plans each distinct
+//! prompt once over its life (DESIGN.md §5l, §5s), so the per-prompt work
+//! repeats neither per sample nor per cell.
 //!
 //! With k = 5 samples, the `dda-obs` counters pin that
-//! * an `eval_cell` runs one postings retrieval (`slm.query.postings`);
-//! * an `eval_script` runs at most one;
-//! * an agent batch runs exactly one draft retrieval, whatever its chain
-//!   count, worker count or redrafts (repairs retrieve nothing);
-//! * an `eval_repair` cell runs the lint-guided fix search
-//!   (`slm.fixer.search`) at most once;
+//! * on a freshly built zoo, a first pass of cells runs one postings
+//!   retrieval (`slm.query.postings`) per `eval_cell` prompt no earlier
+//!   cell issued, at most one per such `eval_script` prompt, exactly one
+//!   draft retrieval per such agent-batch prompt whatever its chain
+//!   count, worker count or redrafts (repairs retrieve nothing), and at
+//!   most one lint-guided fix search (`slm.fixer.search`) per such
+//!   `eval_repair` prompt;
+//! * a second pass over the same cells counts none of them;
 //! * an `eval_cell` or `eval_repair` cell runs the testbench
 //!   (`sim.run.bytecode`) once per distinct lint-clean sample that passes
 //!   the frontend, and an agent batch once per such candidate across all
@@ -46,6 +49,7 @@ fn counted(name: &str, f: impl FnOnce()) -> u64 {
     dda_obs::snapshot().counter(name)
 }
 
+/// The zoo of the testbench-run counts, shared by those tests.
 fn zoo() -> &'static ModelZoo {
     static ZOO: OnceLock<ModelZoo> = OnceLock::new();
     ZOO.get_or_init(|| {
@@ -60,80 +64,142 @@ fn model() -> &'static Slm {
     zoo().model(ModelId::Ours13B)
 }
 
+/// A zoo of its own: its plan caches start cold, whatever the other
+/// tests in this binary ran.
+fn fresh_zoo() -> ModelZoo {
+    ModelZoo::build(&ZooOptions {
+        corpus_modules: 24,
+        ..ZooOptions::default()
+    })
+}
+
+/// Counter `name` per run of `f` over `items`, twice over: the first
+/// pass on the zoo's cold caches, the second on the caches it warmed.
+fn two_passes<T>(name: &str, items: &[T], mut f: impl FnMut(&T)) -> [Vec<u64>; 2] {
+    [(); 2].map(|_| items.iter().map(|x| counted(name, || f(x))).collect())
+}
+
+/// Cells whose prompt an earlier cell already issued, in cell order.
+fn repeats<K: Eq + std::hash::Hash>(keys: impl IntoIterator<Item = K>) -> Vec<bool> {
+    let mut seen = HashSet::new();
+    keys.into_iter().map(|k| !seen.insert(k)).collect()
+}
+
 #[test]
-fn eval_cell_retrieves_once_per_cell() {
+fn eval_cell_retrieves_once_per_prompt() {
     let _g = recorder();
+    let zoo = fresh_zoo();
+    let model = zoo.model(ModelId::Ours13B);
     let protocol = GenProtocol {
         k: K,
         ..GenProtocol::default()
     };
-    for problem in thakur_suite().iter().take(4) {
-        for level in 0..problem.prompts.len() {
-            let n = counted("slm.query.postings", || {
-                eval_cell(model(), problem, level, &protocol);
-            });
-            assert_eq!(n, 1, "{} level {level}: retrievals per cell", problem.id);
-        }
+    let suite = thakur_suite();
+    let cells: Vec<(&VerilogProblem, usize)> = suite
+        .iter()
+        .take(4)
+        .flat_map(|p| (0..p.prompts.len()).map(move |level| (p, level)))
+        .collect();
+    let [first, second] = two_passes("slm.query.postings", &cells, |&(problem, level)| {
+        eval_cell(model, problem, level, &protocol);
+    });
+    let repeated = repeats(cells.iter().map(|(p, level)| &p.prompts[*level]));
+    for (i, &(problem, level)) in cells.iter().enumerate() {
+        let what = format!("{} level {level}", problem.id);
+        assert_eq!(first[i], u64::from(!repeated[i]), "{what}: cold retrievals");
+        assert_eq!(second[i], 0, "{what}: warm retrievals");
     }
 }
 
 #[test]
-fn eval_script_retrieves_at_most_once() {
+fn eval_script_retrieves_at_most_once_per_prompt() {
     let _g = recorder();
+    let zoo = fresh_zoo();
     let protocol = ScriptProtocol::default();
     assert!(protocol.max_iters >= K);
-    for (id, model) in zoo().iter() {
-        for task in sc_suite() {
-            let n = counted("slm.query.postings", || {
-                eval_script(model, &task, &protocol);
-            });
-            assert!(n <= 1, "{id} / {}: {n} retrievals", task.level.label());
-        }
+    let suite = sc_suite();
+    let cells: Vec<(ModelId, usize)> = zoo
+        .iter()
+        .flat_map(|(id, _)| (0..suite.len()).map(move |t| (id, t)))
+        .collect();
+    let [first, second] = two_passes("slm.query.postings", &cells, |&(id, t)| {
+        eval_script(zoo.model(id), &suite[t], &protocol);
+    });
+    let repeated = repeats(cells.iter().map(|&(id, t)| (id, &suite[t].prompt)));
+    for (i, &(id, t)) in cells.iter().enumerate() {
+        let what = format!("{id} / {}", suite[t].level.label());
+        assert!(
+            first[i] <= u64::from(!repeated[i]),
+            "{what}: {} retrievals",
+            first[i]
+        );
+        assert_eq!(second[i], 0, "{what}: warm retrievals");
     }
 }
 
 #[test]
-fn agent_batch_runs_one_draft_retrieval() {
+fn agent_batch_runs_one_draft_retrieval_per_prompt() {
     let _g = recorder();
+    let zoo = fresh_zoo();
+    let model = zoo.model(ModelId::Ours13B);
     let suite = thakur_suite();
-    for workers in [1usize, 2] {
-        let opts = AgentBatchOptions {
-            k: K,
-            workers,
-            ..AgentBatchOptions::default()
-        };
-        for problem in suite.iter().take(4) {
+    let problems: Vec<&VerilogProblem> = suite.iter().take(4).collect();
+    let opts = |workers| AgentBatchOptions {
+        k: K,
+        workers,
+        ..AgentBatchOptions::default()
+    };
+    // Cold: one draft retrieval per distinct prompt, whatever the chain
+    // count or redrafts (repairs retrieve nothing).
+    let [first, second] = two_passes("slm.query.postings", &problems, |problem| {
+        agent_batch(model, problem, 2, &[], &opts(2));
+    });
+    let repeated = repeats(problems.iter().map(|p| &p.prompts[2]));
+    for (i, problem) in problems.iter().enumerate() {
+        assert_eq!(first[i], u64::from(!repeated[i]), "{}: cold", problem.id);
+        assert_eq!(second[i], 0, "{}: warm", problem.id);
+        for workers in [1usize, 4] {
             let par = counted("slm.query.postings", || {
-                agent_batch(model(), problem, 2, &[], &opts);
+                agent_batch(model, problem, 2, &[], &opts(workers));
             });
-            assert_eq!(par, 1, "{} workers={workers}: agent_batch", problem.id);
-            let seq = counted("slm.query.postings", || {
-                agent_batch_sequential(model(), problem, 2, &[], &opts);
-            });
-            assert_eq!(seq, 1, "{}: agent_batch_sequential", problem.id);
+            assert_eq!(par, 0, "{} workers={workers}: agent_batch", problem.id);
         }
+        let seq = counted("slm.query.postings", || {
+            agent_batch_sequential(model, problem, 2, &[], &opts(1));
+        });
+        assert_eq!(seq, 0, "{}: agent_batch_sequential", problem.id);
     }
 }
 
 #[test]
-fn eval_repair_searches_at_most_once() {
+fn eval_repair_searches_at_most_once_per_prompt() {
     let _g = recorder();
+    let zoo = fresh_zoo();
     let protocol = RepairProtocol {
         k: K,
         ..RepairProtocol::default()
     };
-    let mut searched = 0;
-    for (id, model) in zoo().iter() {
-        for problem in rtllm_suite().iter().take(6) {
-            let n = counted("slm.fixer.search", || {
-                eval_repair(model, problem, &protocol);
-            });
-            assert!(n <= 1, "{id} / {}: {n} fix searches", problem.id);
-            searched += n;
-        }
+    let suite = rtllm_suite();
+    let cells: Vec<(ModelId, usize)> = zoo
+        .iter()
+        .flat_map(|(id, _)| (0..6).map(move |p| (id, p)))
+        .collect();
+    let [first, second] = two_passes("slm.fixer.search", &cells, |&(id, p)| {
+        eval_repair(zoo.model(id), &suite[p], &protocol);
+    });
+    // A cell's broken input is a function of the problem and the protocol.
+    let repeated = repeats(cells.iter().map(|&(id, p)| (id, suite[p].id)));
+    for (i, &(id, p)) in cells.iter().enumerate() {
+        let what = format!("{id} / {}", suite[p].id);
+        assert!(
+            first[i] <= u64::from(!repeated[i]),
+            "{what}: {} fix searches",
+            first[i]
+        );
+        assert_eq!(second[i], 0, "{what}: warm fix searches");
     }
     assert!(
-        searched > 0,
+        first.iter().sum::<u64>() > 0,
         "no cell attempted a fix: the bound has no teeth"
     );
 }

@@ -40,7 +40,7 @@ pub mod sharded;
 pub mod tfidf;
 
 pub use model::{
-    pretraining_dataset, GenOptions, Prompt, Skills, Slm, SlmProfile, TrainOptions,
+    pretraining_dataset, GenOptions, Prompt, Skills, Slm, SlmProfile, TrainOptions, PLAN_CACHE_CAP,
     PROGRESSIVE_ORDER,
 };
 pub use ngram::NgramModel;

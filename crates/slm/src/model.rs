@@ -36,9 +36,9 @@ use dda_core::{DataEntry, Dataset, TaskKind};
 use dda_runtime::{run_supervised, RunOptions, UnitOutcome};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A model personality: capacity plus pretrained skill floors.
 #[derive(Debug, Clone, PartialEq)]
@@ -139,7 +139,8 @@ impl Default for GenOptions {
 }
 
 struct TrainDoc {
-    instruct: String,
+    /// Index of the entry's instruct in [`Trained::instructs`].
+    instruct: u32,
     output: String,
 }
 
@@ -164,6 +165,8 @@ impl Default for TrainOptions {
 /// trained on the same data share one copy.
 struct Trained {
     docs: Vec<TrainDoc>,
+    /// The distinct training instructs, in first-seen order.
+    instructs: Vec<String>,
     index: TfIdfIndex,
     ngram: NgramModel,
 }
@@ -173,6 +176,8 @@ pub struct Slm {
     profile: SlmProfile,
     skills: Skills,
     trained: Arc<Trained>,
+    /// Plans of earlier context-free prompts (see [`Slm::with_plan_cache`]).
+    plans: Option<PlanCache>,
 }
 
 impl std::fmt::Debug for Slm {
@@ -295,11 +300,21 @@ impl Slm {
                 merge(&index_toks, ngram_tokens(i));
             }
         }
+        // Every entry of a task shares its instruct text: keep each
+        // distinct text once and an index per document.
+        let mut instructs: Vec<String> = Vec::new();
+        let mut instruct_ids: HashMap<&str, u32> = HashMap::new();
         let docs: Vec<TrainDoc> = entries
             .iter()
-            .map(|e| TrainDoc {
-                instruct: e.instruct.clone(),
-                output: e.output.clone(),
+            .map(|e| {
+                let instruct = *instruct_ids.entry(&e.instruct).or_insert_with(|| {
+                    instructs.push(e.instruct.clone());
+                    instructs.len() as u32 - 1
+                });
+                TrainDoc {
+                    instruct,
+                    output: e.output.clone(),
+                }
             })
             .collect();
         index.finish();
@@ -320,7 +335,13 @@ impl Slm {
         Slm {
             profile,
             skills,
-            trained: Arc::new(Trained { docs, index, ngram }),
+            trained: Arc::new(Trained {
+                docs,
+                instructs,
+                index,
+                ngram,
+            }),
+            plans: None,
         }
     }
 
@@ -328,7 +349,9 @@ impl Slm {
     /// training examples and n-gram model (no copy, no retraining) and
     /// keeps its skills. Only the profile's `name` and `capacity_b`
     /// change — exactly what separates two sizes of one model family
-    /// finetuned on the same data (Ours-7B and Ours-13B).
+    /// finetuned on the same data (Ours-7B and Ours-13B). A model with a
+    /// plan cache gives the new one its own empty cache: the fix-search
+    /// budget, and so a repair plan, depends on capacity.
     pub fn with_capacity(&self, name: impl Into<String>, capacity_b: f64) -> Slm {
         Slm {
             profile: SlmProfile {
@@ -338,7 +361,25 @@ impl Slm {
             },
             skills: self.skills,
             trained: Arc::clone(&self.trained),
+            plans: self.plans.as_ref().map(|_| PlanCache::default()),
         }
+    }
+
+    /// This model with a plan cache: [`Slm::prompt`] without context
+    /// then keeps the plan of each `(instruct, input)` it sees, up to
+    /// [`PLAN_CACHE_CAP`] plans, and later prompts with the same key
+    /// share it — its retrieval, interface fits, script spec and fix
+    /// search run once over the model's life instead of once per prompt.
+    /// Samples are byte-identical either way. Past the cap a prompt gets
+    /// a fresh plan that is not kept; nothing is evicted.
+    ///
+    /// The cache costs memory that grows with the distinct prompts a
+    /// model sees, up to the cap, so it suits fixed evaluation suites
+    /// (`dda_eval::ModelZoo` turns it on) rather than a server fed by
+    /// clients. Models from the `finetune*` constructors have none.
+    pub fn with_plan_cache(mut self) -> Slm {
+        self.plans = Some(PlanCache::default());
+        self
     }
 
     /// A base model: the profile with its synthetic pretraining corpus and
@@ -428,6 +469,11 @@ impl Slm {
     /// instruct only (see [`Slm::generate_with_context`]). A plan is
     /// `Sync`: parallel workers may sample from one plan.
     ///
+    /// On a model [`with_plan_cache`](Slm::with_plan_cache), a prompt with
+    /// empty `context` shares the plan of every earlier prompt with the same
+    /// `(instruct, input)`, so the shared work runs once per model, not once
+    /// per call.
+    ///
     /// ```
     /// use dda_core::align::ALIGN_INSTRUCT;
     /// use dda_slm::{GenOptions, Slm, SlmProfile, PROGRESSIVE_ORDER};
@@ -453,14 +499,16 @@ impl Slm {
         input: &'a str,
         context: &[String],
     ) -> Prompt<'a> {
+        let build = || PlanState::new(self, instruct, input, context);
+        let state = match &self.plans {
+            Some(cache) if context.is_empty() => cache.plan(instruct, input, build),
+            _ => Arc::new(build()),
+        };
         Prompt {
             model: self,
             instruct,
             input,
-            repair: (instruct == REPAIR_INSTRUCT).then(|| RepairPlan::new(self, input, context)),
-            script: OnceLock::new(),
-            retrieval: OnceLock::new(),
-            spec: OnceLock::new(),
+            state,
         }
     }
 
@@ -478,25 +526,81 @@ impl Slm {
     }
 }
 
+/// The most plans one model's cache keeps (see [`Slm::with_plan_cache`]).
+/// Past it, a prompt gets a fresh plan that is not kept.
+pub const PLAN_CACHE_CAP: usize = 4096;
+
+/// A model's cached plans, keyed `instruct → input`.
+#[derive(Default)]
+struct PlanCache {
+    plans: Mutex<CachedPlans>,
+}
+
+#[derive(Default)]
+struct CachedPlans {
+    by_instruct: HashMap<Box<str>, HashMap<Box<str>, Arc<PlanState>>>,
+    len: usize,
+}
+
+impl PlanCache {
+    /// The cached plan of `(instruct, input)`, else a new one from
+    /// `build`, kept while the cache holds fewer than [`PLAN_CACHE_CAP`].
+    /// The lock covers the lookup and the insert only: `build` and every
+    /// sample run without it.
+    fn plan(
+        &self,
+        instruct: &str,
+        input: &str,
+        build: impl FnOnce() -> PlanState,
+    ) -> Arc<PlanState> {
+        let cached = self
+            .lock()
+            .by_instruct
+            .get(instruct)
+            .and_then(|inputs| inputs.get(input))
+            .cloned();
+        if let Some(state) = cached {
+            dda_obs::count("slm.plan.cached", 1);
+            return state;
+        }
+        let state = Arc::new(build());
+        let mut plans = self.lock();
+        if plans.len >= PLAN_CACHE_CAP {
+            return state;
+        }
+        let inputs = plans.by_instruct.entry(instruct.into()).or_default();
+        // Another thread may have planned the same prompt meanwhile: keep
+        // the first plan, so every later prompt shares one.
+        if let Some(first) = inputs.get(input) {
+            return Arc::clone(first);
+        }
+        inputs.insert(input.into(), Arc::clone(&state));
+        plans.len += 1;
+        state
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, CachedPlans> {
+        // A panic cannot leave the maps half-updated: stay usable.
+        self.plans.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// A per-prompt generation plan (see [`Slm::prompt`]).
 ///
 /// Holds what every sample of one `(instruct, input, context)` shares:
 /// the task-filtered top-8 retrieval and the prompt-hashed comprehension
 /// roll, the parsed interface spec and each hit's interface fit, the EDA
 /// script spec, and — for repair prompts — the file name, context
-/// affinity, attempt roll and the outcome of the lint-guided fix search. [`Prompt::generate`] makes only the RNG draws, in the order
+/// affinity, attempt roll and the outcome of the lint-guided fix search.
+/// [`Prompt::generate`] makes only the RNG draws, in the order
 /// [`Slm::generate`] always made them, so a sample from a shared plan is
 /// byte-identical to a fresh `generate` call with the same RNG state.
 pub struct Prompt<'a> {
     model: &'a Slm,
     instruct: &'a str,
     input: &'a str,
-    /// `Some` exactly for [`REPAIR_INSTRUCT`] prompts.
-    repair: Option<RepairPlan<'a>>,
-    /// EDA prompts: the extracted script spec, `None` when insufficient.
-    script: OnceLock<Option<crate::script_spec::ScriptSpec>>,
-    retrieval: OnceLock<Retrieval>,
-    spec: OnceLock<InterfaceSpec>,
+    /// Shared with every cached prompt of the same key.
+    state: Arc<PlanState>,
 }
 
 impl std::fmt::Debug for Prompt<'_> {
@@ -504,8 +608,43 @@ impl std::fmt::Debug for Prompt<'_> {
         f.debug_struct("Prompt")
             .field("model", &self.model.profile.name)
             .field("instruct", &self.instruct)
-            .field("retrieved", &self.retrieval.get().map(|r| r.hits.len()))
+            .field(
+                "retrieved",
+                &self.state.retrieval.get().map(|r| r.hits.len()),
+            )
             .finish()
+    }
+}
+
+/// The sample-invariant state of one prompt's plan: a function of the
+/// model and the prompt alone, so cached prompts share it.
+struct PlanState {
+    /// The prompt's instruct in the model's instruct table, `None` when
+    /// the model never trained on it (then it matches no document).
+    instruct: Option<u32>,
+    /// `Some` exactly for [`REPAIR_INSTRUCT`] prompts.
+    repair: Option<RepairPlan>,
+    /// EDA prompts: the extracted script spec, `None` when insufficient.
+    script: OnceLock<Option<crate::script_spec::ScriptSpec>>,
+    retrieval: OnceLock<Retrieval>,
+    spec: OnceLock<InterfaceSpec>,
+}
+
+impl PlanState {
+    fn new(model: &Slm, instruct: &str, input: &str, context: &[String]) -> PlanState {
+        dda_obs::count("slm.plan.built", 1);
+        PlanState {
+            instruct: model
+                .trained
+                .instructs
+                .iter()
+                .position(|t| t == instruct)
+                .map(|i| i as u32),
+            repair: (instruct == REPAIR_INSTRUCT).then(|| RepairPlan::new(model, input, context)),
+            script: OnceLock::new(),
+            retrieval: OnceLock::new(),
+            spec: OnceLock::new(),
+        }
     }
 }
 
@@ -520,9 +659,9 @@ struct Retrieval {
 }
 
 /// The sample-invariant half of the repair path.
-struct RepairPlan<'a> {
-    /// The broken file (the input after its diagnostics).
-    wrong: &'a str,
+struct RepairPlan {
+    /// Where the broken file starts in the input (after its diagnostics).
+    wrong_at: usize,
     /// File name recovered from the diagnostics.
     file_name: String,
     /// Repair skill after the few-shot context boost.
@@ -530,18 +669,17 @@ struct RepairPlan<'a> {
     attempt_prob: f64,
     /// Prompt-hashed attempt roll.
     roll: f64,
-    /// The lint-guided search outcome, run by the first attempting sample.
-    fix: OnceLock<FixOutcome>,
+    /// The lint-guided search's clean source, `None` when it found none;
+    /// run by the first attempting sample.
+    fix: OnceLock<Option<String>>,
 }
 
-impl<'a> RepairPlan<'a> {
-    fn new(model: &Slm, input: &'a str, context: &[String]) -> Self {
+impl RepairPlan {
+    fn new(model: &Slm, input: &str, context: &[String]) -> Self {
         // Input layout (Fig. 6): "[yosys info], [wrong Verilog file]" or
         // just the wrong file.
-        let wrong = match input.find("module ") {
-            Some(pos) => &input[pos..],
-            None => input,
-        };
+        let wrong_at = input.find("module ").unwrap_or(0);
+        let wrong = &input[wrong_at..];
         // The diagnostics carry the original file name ("/counter_12.v:1:"),
         // which recovers even a deleted module name.
         let file_name = input
@@ -572,7 +710,7 @@ impl<'a> RepairPlan<'a> {
         }
         let roll = (h >> 11) as f64 / (1u64 << 53) as f64;
         RepairPlan {
-            wrong,
+            wrong_at,
             file_name,
             eff_repair,
             attempt_prob,
@@ -581,7 +719,14 @@ impl<'a> RepairPlan<'a> {
         }
     }
 
-    fn generate<R: Rng + ?Sized>(&self, model: &Slm, opts: &GenOptions, rng: &mut R) -> String {
+    fn generate<R: Rng + ?Sized>(
+        &self,
+        model: &Slm,
+        input: &str,
+        opts: &GenOptions,
+        rng: &mut R,
+    ) -> String {
+        let wrong = &input[self.wrong_at..];
         // A sliver of per-sample luck on top: resampling at low temperature
         // occasionally unlocks an attempt the greedy decode missed.
         let resample_luck = rng.gen::<f64>() < self.attempt_prob * 0.1;
@@ -592,10 +737,11 @@ impl<'a> RepairPlan<'a> {
                 let budget = 150
                     + (1500.0 * self.eff_repair * (model.profile.capacity_b / 13.0).sqrt().min(1.5))
                         as usize;
-                try_fix(&self.file_name, self.wrong, budget)
+                let FixOutcome { source, clean, .. } = try_fix(&self.file_name, wrong, budget);
+                clean.then_some(source)
             });
-            if fix.clean {
-                return fix.source.clone();
+            if let Some(source) = fix {
+                return source.clone();
             }
         }
         // No (successful) attempt: echo the broken file, possibly making it
@@ -606,9 +752,9 @@ impl<'a> RepairPlan<'a> {
             })
             .count();
         if extra == 0 {
-            self.wrong.to_owned()
+            wrong.to_owned()
         } else {
-            corrupt(self.wrong, extra, rng)
+            corrupt(wrong, extra, rng)
         }
     }
 }
@@ -620,8 +766,9 @@ impl Prompt<'_> {
     pub fn generate<R: Rng + ?Sized>(&self, opts: &GenOptions, rng: &mut R) -> String {
         let model = self.model;
         let instruct = self.instruct;
-        if let Some(repair) = &self.repair {
-            return repair.generate(model, opts, rng);
+        let state = &*self.state;
+        if let Some(repair) = &state.repair {
+            return repair.generate(model, self.input, opts, rng);
         }
         if instruct == EDA_INSTRUCT {
             // A model with EDA-script skill inverts the describer and
@@ -629,7 +776,7 @@ impl Prompt<'_> {
             // constraints survive. Unskilled models fall through to plain
             // retrieval + corruption.
             if rng.gen::<f64>() < 0.03 + 0.97 * model.skills.eda {
-                let spec = self.script.get_or_init(|| {
+                let spec = state.script.get_or_init(|| {
                     let spec = crate::script_spec::extract_script_spec(self.input);
                     spec.sufficient().then_some(spec)
                 });
@@ -659,7 +806,7 @@ impl Prompt<'_> {
                 // of the requested task outrank lexically-similar examples
                 // of another task (raw completion prefixes share many port
                 // tokens with any interface block).
-                let task_bonus = if model.trained.docs[h.doc].instruct == instruct {
+                let task_bonus = if Some(model.trained.docs[h.doc].instruct) == state.instruct {
                     0.2 * task_skill
                 } else {
                     0.0
@@ -716,7 +863,7 @@ impl Prompt<'_> {
         let doc = &model.trained.docs[hit.doc];
         let mut output = doc.output.clone();
         let sim = hit.score;
-        let instruct_match = doc.instruct == instruct;
+        let instruct_match = Some(doc.instruct) == state.instruct;
         // Interface adaptation for NL→Verilog prompts.
         if instruct == ALIGN_INSTRUCT {
             let spec = self.spec();
@@ -753,13 +900,14 @@ impl Prompt<'_> {
     }
 
     fn spec(&self) -> &InterfaceSpec {
-        self.spec.get_or_init(|| parse_interface(self.input))
+        self.state.spec.get_or_init(|| parse_interface(self.input))
     }
 
     fn retrieval(&self) -> &Retrieval {
-        self.retrieval.get_or_init(|| {
+        self.state.retrieval.get_or_init(|| {
             let model = self.model;
             let instruct = self.instruct;
+            let wanted = self.state.instruct;
             // Retrieve with alignment-dependent jitter. Instruction tuning
             // conditions generation on the task: when any example of the
             // requested task matches at all, examples of other tasks are
@@ -772,11 +920,9 @@ impl Prompt<'_> {
                 .index
                 .try_query(&query, 32)
                 .expect("finetune() finished the index");
-            if hits
-                .iter()
-                .any(|h| model.trained.docs[h.doc].instruct == instruct)
-            {
-                hits.retain(|h| model.trained.docs[h.doc].instruct == instruct);
+            let of_task = |h: &Hit| Some(model.trained.docs[h.doc].instruct) == wanted;
+            if hits.iter().any(of_task) {
+                hits.retain(of_task);
             }
             hits.truncate(8);
             // The hash keys on the prompt alone: prompt difficulty is
