@@ -10,6 +10,10 @@
 //!   count, worker count or redrafts (repairs retrieve nothing), and at
 //!   most one lint-guided fix search (`slm.fixer.search`) per such
 //!   `eval_repair` prompt;
+//! * a plan adapts each retrieved hit to the prompt's interface at most
+//!   once per understanding (`slm.plan.adapt`: full spec or module name
+//!   only), however many samples pick it and however many cells share
+//!   the prompt;
 //! * a second pass over the same cells counts none of them;
 //! * an `eval_cell` or `eval_repair` cell runs the testbench
 //!   (`sim.run.bytecode`) once per distinct lint-clean sample that passes
@@ -27,7 +31,7 @@ use dda_eval::{
     RepairProtocol, ScriptProtocol, TestbenchVerdict, ZooOptions,
 };
 use dda_slm::Slm;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 const K: usize = 5;
@@ -201,6 +205,56 @@ fn eval_repair_searches_at_most_once_per_prompt() {
     assert!(
         first.iter().sum::<u64>() > 0,
         "no cell attempted a fix: the bound has no teeth"
+    );
+}
+
+/// Hits a plan keeps from its top-32 retrieval.
+const PLAN_HITS: u64 = 8;
+
+#[test]
+fn plans_adapt_each_hit_at_most_once_per_understanding() {
+    let _g = recorder();
+    let zoo = fresh_zoo();
+    // Many more samples per cell than a plan has (hit, understanding)
+    // pairs, so adapting per sample would break the bound.
+    let protocol = GenProtocol {
+        k: 48,
+        ..GenProtocol::default()
+    };
+    let suite = thakur_suite();
+    let cells: Vec<(ModelId, &VerilogProblem, usize)> = zoo
+        .iter()
+        .flat_map(|(id, _)| {
+            suite
+                .iter()
+                .take(4)
+                .flat_map(move |p| (0..p.prompts.len()).map(move |level| (id, p, level)))
+        })
+        .collect();
+    let [first, second] = two_passes("slm.plan.adapt", &cells, |&(id, problem, level)| {
+        cell_samples(zoo.model(id), problem, level, &protocol);
+    });
+    // Cells sharing a prompt share its plan, and so its adaptations.
+    let mut per_plan: HashMap<(ModelId, &str), u64> = HashMap::new();
+    for (i, &(id, problem, level)) in cells.iter().enumerate() {
+        *per_plan
+            .entry((id, problem.prompts[level].as_str()))
+            .or_default() += first[i];
+        assert_eq!(
+            second[i], 0,
+            "{id} / {} level {level}: warm adaptations",
+            problem.id
+        );
+    }
+    for ((id, prompt), n) in &per_plan {
+        assert!(
+            *n <= 2 * PLAN_HITS,
+            "{id}: {n} adaptations for one plan of {prompt:?}"
+        );
+    }
+    assert!(
+        first.iter().sum::<u64>() > 0,
+        "no plan adapted a hit: the bound has no teeth"
     );
 }
 

@@ -90,7 +90,8 @@ fn quick_score(tag: usize) -> ReqBody {
     }
 }
 
-/// A grinding testbench that only its deadline stops.
+/// A grinding testbench that only its deadline stops: each step works on
+/// a 65,536-bit register, so the step budget takes seconds to run out.
 fn slow_score(tag: usize) -> ReqBody {
     ReqBody::Score {
         source: format!(
@@ -98,9 +99,9 @@ fn slow_score(tag: usize) -> ReqBody {
         ),
         problem: None,
         testbench: Some(format!(
-            "module tb;\nreg [63:0] i; reg [63:0] acc;\nwire out;\nreg in;\n\
+            "module tb;\nreg [63:0] i; reg [65535:0] acc;\nwire out;\nreg in;\n\
              grind_r{tag} dut(.in(in), .out(out));\ninitial begin\n  acc = 0;\n  \
-             for (i = 0; i < 64'd100000000; i = i + 1) acc = acc + i;\n  \
+             for (i = 0; i < 64'd100000000; i = i + 1) acc = (acc + i) ^ (acc << 1);\n  \
              $display(\"RESULT 1 1\");\n  $finish;\nend\nendmodule\n"
         )),
         top: "tb".to_string(),

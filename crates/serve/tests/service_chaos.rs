@@ -63,15 +63,17 @@ fn quick_score(tag: usize) -> ReqBody {
 }
 
 /// A testbench that grinds a huge loop: it cannot finish inside any test
-/// deadline, so the wall-clock budget is what stops it.
+/// deadline, so the wall-clock budget is what stops it. Each step works
+/// on a 65,536-bit register, so even a fast engine spends seconds before
+/// the 2,000,000-step budget could stop it first.
 fn slow_score(tag: usize) -> ReqBody {
     ReqBody::Score {
         source: format!("module grind{tag}(input in, output out);\nassign out = in;\nendmodule\n"),
         problem: None,
         testbench: Some(format!(
-            "module tb;\nreg [63:0] i; reg [63:0] acc;\nwire out;\nreg in;\n\
+            "module tb;\nreg [63:0] i; reg [65535:0] acc;\nwire out;\nreg in;\n\
              grind{tag} dut(.in(in), .out(out));\ninitial begin\n  acc = 0;\n  \
-             for (i = 0; i < 64'd100000000; i = i + 1) acc = acc + i;\n  \
+             for (i = 0; i < 64'd100000000; i = i + 1) acc = (acc + i) ^ (acc << 1);\n  \
              $display(\"RESULT 1 1\");\n  $finish;\nend\nendmodule\n"
         )),
         top: "tb".to_string(),

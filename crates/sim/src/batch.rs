@@ -29,6 +29,7 @@
 
 use crate::elab::Design;
 use crate::exec::{RunError, SimOptions, SimResult, Simulator};
+use std::sync::Arc;
 
 /// Largest lane count a caller may request; the daemon clamps its wire
 /// `runs` field to it.
@@ -37,12 +38,14 @@ pub const MAX_BATCH_LANES: usize = 64;
 /// Runs `design` once per lane, lane `l` seeded with `seeds[l]` (`None` =
 /// the unseeded default stream, like a fresh [`Simulator`]). Each lane's
 /// result equals a fresh scalar run of its seed with the same options;
-/// lanes sharing a seed share one run.
+/// lanes sharing a seed share one run, and every run shares one copy of
+/// the design.
 pub fn run_batch(
     design: &Design,
     seeds: &[Option<u64>],
     opts: &SimOptions,
 ) -> Vec<Result<SimResult, RunError>> {
+    let design = Arc::new(design.clone());
     let mut runs: Vec<(Option<u64>, Result<SimResult, RunError>)> = Vec::new();
     seeds
         .iter()
@@ -50,7 +53,7 @@ pub fn run_batch(
             if let Some((_, r)) = runs.iter().find(|(s, _)| *s == seed) {
                 return r.clone();
             }
-            let mut sim = Simulator::from_design(design.clone());
+            let mut sim = Simulator::from_design(Arc::clone(&design));
             if let Some(s) = seed {
                 sim.seed_random(s);
             }

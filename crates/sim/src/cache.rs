@@ -6,9 +6,10 @@
 //! loops re-score unchanged candidates, and concurrent service requests
 //! often target the same design. The frontend (lex → parse → elaborate →
 //! bytecode compile) is pure in the source text, so its result can be
-//! shared: [`shared_design`] returns a cached [`Design`] clone (cheap —
-//! statement bodies and bytecode sit behind `Arc`) and only runs the
-//! frontend on a genuine miss.
+//! shared: [`shared_design`] returns the cached `Arc<Design>` itself — a
+//! hit copies nothing, and a [`Simulator`](crate::Simulator) built from it
+//! borrows the design's signal tables, statement bodies and bytecode — and
+//! only runs the frontend on a genuine miss.
 //!
 //! The cache has two tiers:
 //!
@@ -23,9 +24,8 @@
 //!   unaffected.
 //! * a small **per-thread L1** in front of it, so steady-state hits on a
 //!   worker's hot designs skip the shard mutex entirely. The L1 is
-//!   size-capped with LRU eviction (it holds clones whose heavy payloads
-//!   are `Arc`-shared with the global tier, so its footprint is the
-//!   signal tables only).
+//!   size-capped with LRU eviction (it holds `Arc`s of the global tier's
+//!   designs, so its footprint is its keys).
 //!
 //! Entries verify the full key on hit (the hash is only a bucket index),
 //! so collisions cost a recompute, never a wrong design. Hit/miss/evict
@@ -35,7 +35,11 @@
 use crate::elab::{elaborate, Design, ElabError};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
+
+/// What the cache holds per `(source, top)`: the shared design, or the
+/// stage that rejected the source.
+type Frontend = Result<Arc<Design>, FrontendError>;
 
 /// A frontend failure: the stage that rejected the source plus its message.
 /// Cached alongside successes so a sweep does not re-parse a known-bad
@@ -94,7 +98,7 @@ struct Entry {
     key: u64,
     src: String,
     top: String,
-    value: Result<Design, FrontendError>,
+    value: Frontend,
     /// LRU stamp from the owning shard's clock; smallest = evict first.
     stamp: u64,
 }
@@ -125,7 +129,7 @@ struct L1Entry {
     key: u64,
     src: String,
     top: String,
-    value: Result<Design, FrontendError>,
+    value: Frontend,
     stamp: u64,
 }
 
@@ -142,7 +146,7 @@ fn fnv64(src: &str, top: &str) -> u64 {
     h
 }
 
-fn l1_get(key: u64, src: &str, top: &str) -> Option<Result<Design, FrontendError>> {
+fn l1_get(key: u64, src: &str, top: &str) -> Option<Frontend> {
     L1.with(|l1| {
         let mut guard = l1.borrow_mut();
         let (entries, clock) = &mut *guard;
@@ -158,7 +162,7 @@ fn l1_get(key: u64, src: &str, top: &str) -> Option<Result<Design, FrontendError
     })
 }
 
-fn l1_insert(key: u64, src: &str, top: &str, value: Result<Design, FrontendError>) {
+fn l1_insert(key: u64, src: &str, top: &str, value: Frontend) {
     L1.with(|l1| {
         let mut guard = l1.borrow_mut();
         let (entries, clock) = &mut *guard;
@@ -183,16 +187,16 @@ fn l1_insert(key: u64, src: &str, top: &str, value: Result<Design, FrontendError
 }
 
 /// Parses and elaborates `(src, top)`, memoizing the result process-wide.
-/// Hits return a clone of the cached [`Design`]: signal tables are copied,
-/// but statement bodies and the compiled bytecode are `Arc`-shared, so
+/// Every hit returns the same `Arc<Design>`, bytecode compiled, so
 /// repeated sweeps — and concurrent service requests on different threads
-/// — skip re-parsing, re-elaboration *and* re-compilation.
+/// — skip re-parsing, re-elaboration and re-compilation, and copy no part
+/// of the design.
 ///
 /// # Errors
 ///
 /// Returns the (equally memoized) [`FrontendError`] from whichever stage
 /// rejected the source.
-pub fn shared_design(src: &str, top: &str) -> Result<Design, FrontendError> {
+pub fn shared_design(src: &str, top: &str) -> Frontend {
     let key = fnv64(src, top);
     if let Some(v) = l1_get(key, src, top) {
         L1_HITS.fetch_add(1, Ordering::Relaxed);
@@ -253,11 +257,11 @@ pub fn shared_design(src: &str, top: &str) -> Result<Design, FrontendError> {
     value
 }
 
-fn compute(src: &str, top: &str) -> Result<Design, FrontendError> {
+fn compute(src: &str, top: &str) -> Frontend {
     let sf = dda_verilog::parse(src).map_err(|e| FrontendError::Parse(e.to_string()))?;
-    let design = elaborate(&sf, top).map_err(FrontendError::Elab)?;
-    // Pre-compile the bytecode so every cached clone — on any thread —
-    // shares one program (the OnceLock value survives cloning).
+    let design = Arc::new(elaborate(&sf, top).map_err(FrontendError::Elab)?);
+    // Compile the bytecode now, while the shard lock is held, so no run
+    // on any thread compiles it.
     let _ = design.compiled();
     Ok(design)
 }
@@ -315,17 +319,20 @@ mod tests {
     const SRC: &str = "module m;\nreg [7:0] a;\ninitial a = 8'hA5;\nendmodule\n";
 
     #[test]
-    fn hit_after_miss_shares_bytecode() {
+    fn hits_return_the_cached_design_itself() {
         let _serial = serial();
         clear();
         let before = stats();
         let d1 = shared_design(SRC, "m").unwrap();
         let d2 = shared_design(SRC, "m").unwrap();
+        let d3 = shared_design(SRC, "m").unwrap();
         let after = stats();
         assert_eq!(after.misses - before.misses, 1);
-        assert!(after.hits - before.hits >= 1);
-        // Both clones share one compiled program.
-        assert!(std::sync::Arc::ptr_eq(&d1.compiled(), &d2.compiled()));
+        assert_eq!(after.hits - before.hits, 2);
+        // The miss and both hits are one allocation, with one program.
+        assert!(Arc::ptr_eq(&d1, &d2));
+        assert!(Arc::ptr_eq(&d2, &d3));
+        assert!(Arc::ptr_eq(&d1.compiled(), &d3.compiled()));
     }
 
     #[test]
@@ -333,7 +340,7 @@ mod tests {
         let _serial = serial();
         clear();
         let src = "module shared_t;\nreg [3:0] r;\ninitial r = 4'd7;\nendmodule\n";
-        let designs: Vec<Design> = std::thread::scope(|scope| {
+        let designs: Vec<Arc<Design>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
                 .map(|_| scope.spawn(|| shared_design(src, "shared_t").unwrap()))
                 .collect();
@@ -342,7 +349,7 @@ mod tests {
         let first = designs[0].compiled();
         for d in &designs[1..] {
             assert!(
-                std::sync::Arc::ptr_eq(&first, &d.compiled()),
+                Arc::ptr_eq(&first, &d.compiled()),
                 "threads compiled separate copies"
             );
         }

@@ -275,13 +275,13 @@ pub(crate) struct CompiledDesign {
 /// Compiles every process of `design`.
 ///
 /// Constant subexpressions are folded by evaluating them on a *probe*
-/// simulator built from a clone of the design: they contain no identifiers
+/// simulator that shares the design's `Arc`: they contain no identifiers
 /// and no calls, so the probe's (all-x) store is never consulted and the
 /// fold reproduces the interpreter's exact width/sign quirks. The probe
-/// never runs, and cloning a design mid-compilation yields an empty
-/// bytecode cell, so there is no reentrancy.
-pub(crate) fn compile_design(design: &Design) -> CompiledDesign {
-    let probe = Simulator::from_design(design.clone());
+/// never runs, so it never reads the bytecode cell this compilation is
+/// filling, and there is no reentrancy.
+pub(crate) fn compile_design(design: &Arc<Design>) -> CompiledDesign {
+    let probe = Simulator::from_design(Arc::clone(design));
     let mut cx = Cx {
         probe: &probe,
         nregs: 0,

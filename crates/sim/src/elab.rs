@@ -133,9 +133,9 @@ pub struct Design {
     pub processes: Vec<Process>,
     /// Functions by flattened name.
     pub functions: HashMap<String, FunctionDecl>,
-    /// Lazily built bytecode programs, shared by every clone made after the
-    /// first compilation (cloning an initialized `OnceLock` keeps its value,
-    /// and the payload is behind an `Arc`).
+    /// Lazily built bytecode programs, shared by every holder of the
+    /// design's `Arc` (and by clones made after the first compilation:
+    /// cloning an initialized `OnceLock` keeps its value).
     pub(crate) compiled: std::sync::OnceLock<std::sync::Arc<crate::compile::CompiledDesign>>,
 }
 
@@ -154,9 +154,9 @@ impl Design {
     }
 
     /// The design's bytecode, compiling it on first use.
-    pub(crate) fn compiled(&self) -> std::sync::Arc<crate::compile::CompiledDesign> {
+    pub(crate) fn compiled(self: &Arc<Self>) -> Arc<crate::compile::CompiledDesign> {
         self.compiled
-            .get_or_init(|| std::sync::Arc::new(crate::compile::compile_design(self)))
+            .get_or_init(|| Arc::new(crate::compile::compile_design(self)))
             .clone()
     }
 }

@@ -49,7 +49,8 @@ pub struct SimOptions {
     pub max_time: u64,
     /// Delta-cycle limit within one time step (combinational-loop guard).
     pub max_deltas: usize,
-    /// Total statement-execution budget.
+    /// Total statement-execution budget; also the most continuous
+    /// assignments evaluated in a row with no procedural statement between.
     pub max_steps: u64,
     /// Cap on captured `$display` output, in bytes.
     pub output_limit: usize,
@@ -222,9 +223,8 @@ struct ProcRt {
     /// `always` with no event control re-runs on completion.
     free_running: bool,
     is_initial: bool,
-    /// Dotted instance path (reserved for `%m` in scoped processes).
-    #[allow(dead_code)]
-    path: String,
+    /// A continuous assignment: re-evaluated, never stepped.
+    continuous: bool,
 }
 
 #[derive(Debug)]
@@ -257,15 +257,13 @@ enum FutureEvent {
 /// ```
 #[derive(Debug)]
 pub struct Simulator {
-    pub(crate) design: Design,
+    /// Shared with the design cache and every other run of the design.
+    pub(crate) design: Arc<Design>,
     pub(crate) store: Vec<PackedVec>,
     pub(crate) mems: Vec<Vec<PackedVec>>,
     pub(crate) time: u64,
     pub(crate) rand_state: Cell<u64>,
     procs: Vec<ProcRt>,
-    /// AST `(lhs, rhs)` pair for continuous assignments (bytecode keeps its
-    /// own compiled form; this is the fallback and the `Ast`-mode source).
-    cont: Vec<Option<Arc<(Expr, Expr)>>>,
     ready: VecDeque<usize>,
     in_ready: Vec<bool>,
     future: BTreeMap<u64, Vec<FutureEvent>>,
@@ -303,7 +301,14 @@ impl Simulator {
     }
 
     /// Builds a simulator from an already-elaborated design.
-    pub fn from_design(design: Design) -> Simulator {
+    ///
+    /// The simulator borrows the design through the `Arc`: a design from
+    /// [`shared_design`](crate::cache::shared_design) is not copied, and
+    /// what a run allocates up front grows with the design's signals and
+    /// processes, not with the size of their bodies. A plain [`Design`]
+    /// is moved into a new `Arc`.
+    pub fn from_design(design: impl Into<Arc<Design>>) -> Simulator {
+        let design: Arc<Design> = design.into();
         let mut store = Vec::with_capacity(design.signals.len());
         let mut mems = Vec::with_capacity(design.signals.len());
         for s in &design.signals {
@@ -314,13 +319,11 @@ impl Simulator {
                 mems.push(Vec::new());
             }
         }
-        let mut procs = Vec::new();
-        let mut cont = Vec::new();
-        for p in &design.processes {
-            let (rt, c) = Self::make_proc(p, &design);
-            procs.push(rt);
-            cont.push(c);
-        }
+        let procs = design
+            .processes
+            .iter()
+            .map(|p| Self::make_proc(p, &design))
+            .collect();
         Simulator {
             design,
             store,
@@ -328,7 +331,6 @@ impl Simulator {
             time: 0,
             rand_state: Cell::new(0x9E3779B97F4A7C15),
             procs,
-            cont,
             ready: VecDeque::new(),
             in_ready: Vec::new(),
             future: BTreeMap::new(),
@@ -384,68 +386,35 @@ impl Simulator {
             })
     }
 
-    fn make_proc(p: &Process, design: &Design) -> (ProcRt, Option<Arc<(Expr, Expr)>>) {
-        match &p.kind {
-            ProcessKind::Initial => (
-                ProcRt {
-                    tasks: vec![Task::Exec(Self::body_stmt(p))],
-                    status: Status::Ready,
-                    watches: Vec::new().into(),
-                    rearm: None,
-                    free_running: false,
-                    is_initial: true,
-                    path: p.path.clone(),
-                },
-                None,
-            ),
+    /// A process's wait state. Its task stack starts empty: `start` seeds
+    /// it with the body in the engine's own form.
+    fn make_proc(p: &Process, design: &Design) -> ProcRt {
+        let (watches, status) = match &p.kind {
+            ProcessKind::Initial => (Vec::new().into(), Status::Ready),
             ProcessKind::Always(sens) => {
                 let watches: Arc<[SensWatch]> = compile_sens(sens, design).into();
-                let free_running = watches.is_empty();
-                (
-                    ProcRt {
-                        tasks: vec![Task::Exec(Self::body_stmt(p))],
-                        status: if free_running {
-                            Status::Ready
-                        } else {
-                            Status::WaitEvent
-                        },
-                        watches: Arc::clone(&watches),
-                        rearm: Some(watches),
-                        free_running,
-                        is_initial: false,
-                        path: p.path.clone(),
-                    },
-                    None,
-                )
+                let status = if watches.is_empty() {
+                    Status::Ready
+                } else {
+                    Status::WaitEvent
+                };
+                (watches, status)
             }
             ProcessKind::Continuous { lhs, rhs } => {
                 let mut reads = Vec::new();
-                collect_expr_reads(rhs, &mut reads);
-                collect_lhs_index_reads(lhs, &mut reads);
-                let watches: Arc<[SensWatch]> = reads
-                    .iter()
-                    .filter_map(|n| {
-                        design.index.get(n).map(|id| SensWatch {
-                            sig: *id,
-                            bit: None,
-                            edge: None,
-                        })
-                    })
-                    .collect::<Vec<_>>()
-                    .into();
-                (
-                    ProcRt {
-                        tasks: Vec::new(),
-                        status: Status::Ready,
-                        watches: Arc::clone(&watches),
-                        rearm: Some(watches),
-                        free_running: false,
-                        is_initial: false,
-                        path: p.path.clone(),
-                    },
-                    Some(Arc::new((lhs.clone(), rhs.clone()))),
-                )
+                collect_expr_reads(rhs, design, &mut reads);
+                collect_lhs_index_reads(lhs, design, &mut reads);
+                (reads.into(), Status::Ready)
             }
+        };
+        ProcRt {
+            tasks: Vec::new(),
+            status,
+            rearm: (!matches!(p.kind, ProcessKind::Initial)).then(|| Arc::clone(&watches)),
+            free_running: matches!(p.kind, ProcessKind::Always(_)) && watches.is_empty(),
+            is_initial: matches!(p.kind, ProcessKind::Initial),
+            continuous: matches!(p.kind, ProcessKind::Continuous { .. }),
+            watches,
         }
     }
 
@@ -480,18 +449,27 @@ impl Simulator {
     fn start(&mut self, mode: EvalMode) {
         self.started = true;
         self.mode = mode;
-        if self.mode == EvalMode::Bytecode {
-            let compiled = self.design.compiled();
-            self.scratch.clear();
-            self.scratch.resize(compiled.nregs, PackedVec::default());
-            // Swap the AST body seeds for their compiled forms (continuous
-            // processes have no body and keep their empty task stack).
-            for (i, cp) in compiled.procs.iter().enumerate() {
-                if let Some(b) = &cp.body {
-                    self.procs[i].tasks = vec![Task::CExec(Arc::clone(b))];
+        // Seed each procedural body in the engine's form (continuous
+        // processes have no body and keep their empty task stack).
+        match self.mode {
+            EvalMode::Bytecode => {
+                let compiled = self.design.compiled();
+                self.scratch.clear();
+                self.scratch.resize(compiled.nregs, PackedVec::default());
+                for (i, cp) in compiled.procs.iter().enumerate() {
+                    if let Some(b) = &cp.body {
+                        self.procs[i].tasks.push(Task::CExec(Arc::clone(b)));
+                    }
+                }
+                self.compiled = Some(compiled);
+            }
+            EvalMode::Ast => {
+                for (rt, p) in self.procs.iter_mut().zip(&self.design.processes) {
+                    if !rt.continuous {
+                        rt.tasks.push(Task::Exec(Self::body_stmt(p)));
+                    }
                 }
             }
-            self.compiled = Some(compiled);
         }
         self.in_ready = vec![false; self.procs.len()];
         // Apply reg initialisers as time-0 changes so combinational logic
@@ -550,6 +528,11 @@ impl Simulator {
     /// count is observable on every exit path (quiescence, `$finish`, and
     /// budget trips alike).
     fn run_loop(&mut self, opts: &SimOptions, steps: &mut u64) -> Result<SimResult, RunError> {
+        // Continuous assignments evaluated since a procedural process last
+        // ran. They retire no statements, so a zero-delay loop through
+        // them alone (`assign a = en ? a + 1 : 0`) would never reach the
+        // step budget; past `max_steps` evaluations in a row it is one.
+        let mut cont_streak: u64 = 0;
         loop {
             // One time step: drain active events and NBA deltas.
             let mut deltas = 0usize;
@@ -559,7 +542,24 @@ impl Simulator {
                 }
                 if let Some(p) = self.ready.pop_front() {
                     self.in_ready[p] = false;
-                    self.run_proc(p, steps, opts)?;
+                    if self.procs[p].continuous {
+                        cont_streak += 1;
+                        if cont_streak > opts.max_steps {
+                            return Err(RunError {
+                                message: "statement budget exceeded (continuous-assignment loop?)"
+                                    .into(),
+                                time: self.time,
+                                kind: RunErrorKind::StepBudget,
+                            });
+                        }
+                        if cont_streak.is_multiple_of(WALL_POLL_PERIOD) {
+                            self.check_wall(opts)?;
+                        }
+                        self.run_cont(p);
+                    } else {
+                        cont_streak = 0;
+                        self.run_proc(p, steps, opts)?;
+                    }
                     continue;
                 }
                 if !self.nba.is_empty() {
@@ -641,12 +641,8 @@ impl Simulator {
         }
     }
 
+    /// Runs procedural process `p` until it suspends or completes.
     fn run_proc(&mut self, p: usize, steps: &mut u64, opts: &SimOptions) -> Result<(), RunError> {
-        // Continuous assignment: evaluate and re-suspend.
-        if self.cont[p].is_some() {
-            self.run_cont(p);
-            return Ok(());
-        }
         loop {
             if self.finished {
                 return Ok(());
@@ -729,8 +725,10 @@ impl Simulator {
                 return;
             }
         }
-        let pair = Arc::clone(self.cont[p].as_ref().expect("continuous process"));
-        let (lhs, rhs) = (&pair.0, &pair.1);
+        let design = Arc::clone(&self.design);
+        let ProcessKind::Continuous { lhs, rhs } = &design.processes[p].kind else {
+            unreachable!("run_cont on a procedural process");
+        };
         let w = self.natural_width(lhs, None);
         let v = self.eval(rhs, w, None);
         let target = self.resolve_target(lhs);
@@ -1940,48 +1938,52 @@ pub(crate) fn compile_sens(s: &Sensitivity, design: &Design) -> Vec<SensWatch> {
 
 /// Level (any-change) watches for every identifier an expression reads.
 pub(crate) fn level_watches(e: &Expr, design: &Design) -> Vec<SensWatch> {
-    let mut reads = Vec::new();
-    collect_expr_reads(e, &mut reads);
-    reads
-        .iter()
-        .filter_map(|n| {
-            design.index.get(n).map(|id| SensWatch {
-                sig: *id,
-                bit: None,
-                edge: None,
-            })
-        })
-        .collect()
+    let mut watches = Vec::new();
+    collect_expr_reads(e, design, &mut watches);
+    watches
 }
 
-fn collect_expr_reads(e: &Expr, out: &mut Vec<String>) {
+/// Appends a level watch for each signal of `design` that `e` reads and
+/// `out` does not watch yet, in reading order. A repeated read would add
+/// a duplicate that can never wake the process on its own.
+fn collect_expr_reads(e: &Expr, design: &Design, out: &mut Vec<SensWatch>) {
     use dda_verilog::visit::{walk_expr, Visitor};
-    struct R<'v>(&'v mut Vec<String>);
+    struct R<'v> {
+        design: &'v Design,
+        out: &'v mut Vec<SensWatch>,
+    }
     impl Visitor for R<'_> {
         fn visit_expr(&mut self, e: &Expr) {
             if let Expr::Ident(i) = e {
-                self.0.push(i.name.clone());
+                let sig = self.design.index.get(&i.name).copied();
+                if let Some(sig) = sig.filter(|&s| self.out.iter().all(|w| w.sig != s)) {
+                    self.out.push(SensWatch {
+                        sig,
+                        bit: None,
+                        edge: None,
+                    });
+                }
             }
             walk_expr(self, e);
         }
     }
-    R(out).visit_expr(e);
+    R { design, out }.visit_expr(e);
 }
 
-fn collect_lhs_index_reads(e: &Expr, out: &mut Vec<String>) {
+fn collect_lhs_index_reads(e: &Expr, design: &Design, out: &mut Vec<SensWatch>) {
     match e {
-        Expr::Index { index, .. } => collect_expr_reads(index, out),
+        Expr::Index { index, .. } => collect_expr_reads(index, design, out),
         Expr::PartSelect { msb, lsb, .. } => {
-            collect_expr_reads(msb, out);
-            collect_expr_reads(lsb, out);
+            collect_expr_reads(msb, design, out);
+            collect_expr_reads(lsb, design, out);
         }
         Expr::IndexedPart { start, width, .. } => {
-            collect_expr_reads(start, out);
-            collect_expr_reads(width, out);
+            collect_expr_reads(start, design, out);
+            collect_expr_reads(width, design, out);
         }
         Expr::Concat(parts, _) => {
             for p in parts {
-                collect_lhs_index_reads(p, out);
+                collect_lhs_index_reads(p, design, out);
             }
         }
         _ => {}

@@ -312,6 +312,40 @@ fn step_budget_trips_identically() {
     }
 }
 
+/// A zero-delay loop through continuous assignments alone retires no
+/// statements; it must still trip the step budget, at the same count in
+/// both engines, instead of evaluating forever.
+#[test]
+fn continuous_assignment_loop_trips_the_step_budget() {
+    let src = "module tb;\n\
+         reg en;\n\
+         wire [7:0] a;\n\
+         assign a = en ? a + 8'd1 : 8'd0;\n\
+         initial begin\n\
+           en = 0;\n\
+           #1 en = 1;\n\
+           #1 $display(\"RESULT 1 1\");\n\
+           $finish;\n\
+         end\n\
+         endmodule";
+    let run = |mode: EvalMode, max_steps: u64| {
+        let sf = dda_verilog::parse(src).expect("parses");
+        let mut sim = Simulator::new(&sf, "tb").expect("elaborates");
+        sim.run(&SimOptions {
+            max_steps,
+            eval_mode: mode,
+            ..SimOptions::default()
+        })
+    };
+    for budget in [10, 1_000, 9_999] {
+        let ast = run(EvalMode::Ast, budget).expect_err("runaway");
+        let byte = run(EvalMode::Bytecode, budget).expect_err("runaway");
+        assert_eq!(ast.kind, RunErrorKind::StepBudget);
+        assert_eq!(ast.time, 1, "the loop starts when `en` rises");
+        assert_eq!(ast, byte, "budget {budget}");
+    }
+}
+
 /// Same for the NBA delta limit (combinational feedback through
 /// nonblocking assigns).
 #[test]

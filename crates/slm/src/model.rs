@@ -462,8 +462,9 @@ impl Slm {
     /// Plans generation for one prompt: everything a sample computes that
     /// does not depend on the RNG, shared by every sample drawn from it.
     ///
-    /// The plan is lazy — the retrieval, interface fits and the repair
-    /// search run on the first sample that needs them — so one sample costs
+    /// The plan is lazy — the retrieval, interface fits, interface
+    /// adaptations and the repair search run on the first sample that
+    /// needs them — so one sample costs
     /// what a [`Slm::generate`] call costs, and `k` samples pay for the
     /// shared work once instead of `k` times. `context` conditions the repair
     /// instruct only (see [`Slm::generate_with_context`]). A plan is
@@ -589,7 +590,8 @@ impl PlanCache {
 ///
 /// Holds what every sample of one `(instruct, input, context)` shares:
 /// the task-filtered top-8 retrieval and the prompt-hashed comprehension
-/// roll, the parsed interface spec and each hit's interface fit, the EDA
+/// roll, the parsed interface spec, each hit's interface fit and its
+/// output adapted to the spec (in full, or the module name alone), the EDA
 /// script spec, and — for repair prompts — the file name, context
 /// affinity, attempt roll and the outcome of the lint-guided fix search.
 /// [`Prompt::generate`] makes only the RNG draws, in the order
@@ -656,6 +658,29 @@ struct Retrieval {
     det: f64,
     /// Interface fit per hit, computed only for hits a sample compares.
     fits: Vec<OnceLock<i32>>,
+    /// Per hit, its output adapted to the prompt's interface spec: `[0]`
+    /// to the full spec, `[1]` to the module name alone. Filled by the
+    /// first sample that picks the hit with that understanding.
+    adapted: Vec<[OnceLock<String>; 2]>,
+}
+
+impl Retrieval {
+    /// Hit `i`'s `output` adapted to `spec`, or to its module name alone
+    /// when `name_only`; adapted once per plan.
+    fn adapted(&self, i: usize, name_only: bool, output: &str, spec: &InterfaceSpec) -> &str {
+        self.adapted[i][usize::from(name_only)].get_or_init(|| {
+            dda_obs::count("slm.plan.adapt", 1);
+            if name_only {
+                let partial = InterfaceSpec {
+                    module: spec.module.clone(),
+                    ..InterfaceSpec::default()
+                };
+                adapt_interface(output, &partial)
+            } else {
+                adapt_interface(output, spec)
+            }
+        })
+    }
 }
 
 /// The sample-invariant half of the repair path.
@@ -859,25 +884,19 @@ impl Prompt<'_> {
             (Some(c), false) => hits.iter().position(|o| o.doc != hits[c].doc).unwrap_or(c),
             (None, _) => return self.hallucinate(rng),
         };
-        let hit = &hits[hit];
-        let doc = &model.trained.docs[hit.doc];
-        let mut output = doc.output.clone();
-        let sim = hit.score;
+        let doc = &model.trained.docs[hits[hit].doc];
+        let mut output = doc.output.as_str();
+        let sim = hits[hit].score;
         let instruct_match = Some(doc.instruct) == state.instruct;
-        // Interface adaptation for NL→Verilog prompts.
+        // Interface adaptation for NL→Verilog prompts; partial
+        // understanding adapts only the module name.
         if instruct == ALIGN_INSTRUCT {
             let spec = self.spec();
             if !spec.is_empty() {
                 if understood {
-                    output = adapt_interface(&output, spec);
+                    output = r.adapted(hit, false, output, spec);
                 } else if roll < follow + 0.45 {
-                    // Partial understanding: only the module name.
-                    let partial = InterfaceSpec {
-                        module: spec.module.clone(),
-                        ports: Vec::new(),
-                        ports_text: None,
-                    };
-                    output = adapt_interface(&output, &partial);
+                    output = r.adapted(hit, true, output, spec);
                 }
             }
         }
@@ -893,10 +912,23 @@ impl Prompt<'_> {
             .clamp(0.0, 0.95);
         let edits = (0..12).filter(|_| rng.gen::<f64>() < rate * 0.35).count();
         if edits == 0 {
-            output
+            output.to_owned()
         } else {
-            corrupt(&output, edits, rng)
+            corrupt(output, edits, rng)
         }
+    }
+
+    /// How many hits the plan has adapted so far, `[full spec, module name
+    /// only]` (testing only: the suites check that both kinds are reached).
+    #[doc(hidden)]
+    pub fn adaptations(&self) -> [usize; 2] {
+        let mut n = [0; 2];
+        for memo in self.state.retrieval.get().map_or(&[][..], |r| &r.adapted) {
+            for (count, cell) in n.iter_mut().zip(memo) {
+                *count += usize::from(cell.get().is_some());
+            }
+        }
+        n
     }
 
     fn spec(&self) -> &InterfaceSpec {
@@ -936,6 +968,7 @@ impl Prompt<'_> {
             }
             Retrieval {
                 fits: hits.iter().map(|_| OnceLock::new()).collect(),
+                adapted: hits.iter().map(|_| Default::default()).collect(),
                 hits,
                 det: (h >> 11) as f64 / (1u64 << 53) as f64,
             }

@@ -6,9 +6,10 @@
 //! on a small corpus) with every instruct the evaluators use — NL→Verilog,
 //! EDA script, repair with and without few-shot context, and a completion
 //! instruct — over benchmark-suite prompts and several sampling seeds. It
-//! also holds every retrieval a plan makes to the linear-scan oracle, and
+//! also holds every retrieval a plan makes to the linear-scan oracle,
 //! repeats the comparison with one plan sampled from several threads at
-//! once.
+//! once, and holds the plans whose samples adapted hits both ways (to the
+//! full interface spec and to the module name alone) to fresh calls.
 
 use dda_core::align::ALIGN_INSTRUCT;
 use dda_core::edascript::EDA_INSTRUCT;
@@ -246,4 +247,44 @@ fn plan_shared_across_threads_matches_fresh_generate() {
             );
         }
     }
+}
+
+/// A plan adapts each hit it picks at most once per understanding (the
+/// full interface spec, or the module name alone) and hands later
+/// samples the stored text. Plans whose samples reached both kinds are
+/// held, sample by sample, to fresh calls that adapt anew.
+#[test]
+fn adapted_hits_match_fresh_generate_in_both_variants() {
+    const SAMPLES: u64 = 64;
+    let opts = GenOptions::default();
+    let aligned: Vec<Case> = cases()
+        .into_iter()
+        .filter(|c| c.instruct == ALIGN_INSTRUCT)
+        .collect();
+    let mut both = 0;
+    for model in zoo() {
+        for case in &aligned {
+            let plan = model.prompt(case.instruct, &case.input, &case.context);
+            let samples: Vec<String> = (0..SAMPLES)
+                .map(|seed| plan.generate(&opts, &mut SmallRng::seed_from_u64(seed)))
+                .collect();
+            let [full, name_only] = plan.adaptations();
+            if full == 0 || name_only == 0 {
+                continue;
+            }
+            both += 1;
+            for (seed, shared) in (0..SAMPLES).zip(&samples) {
+                assert_eq!(
+                    shared,
+                    &fresh(model, case, &opts, seed),
+                    "{} / seed {seed}: adapted sample drifted",
+                    model.profile().name
+                );
+            }
+        }
+    }
+    assert!(
+        both > 0,
+        "no plan adapted hits both ways: the comparison has no teeth"
+    );
 }
