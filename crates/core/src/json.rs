@@ -1,30 +1,17 @@
-//! Minimal JSONL serialization for [`DataEntry`] records.
+//! JSONL serialization for [`DataEntry`] records.
 //!
-//! The dataset format is three flat string fields, so a full JSON library
-//! is not warranted (and `serde_json` is outside the approved offline
-//! dependency set). This module implements exactly the subset needed:
-//! RFC 8259 string escaping and a parser for one-object-per-line records.
+//! One record per line: `{"instruct": "...", "input": "...", "output":
+//! "..."}`. The escaping and parsing are the workspace's one JSON codec,
+//! `dda_obs::event` (`serde_json` is outside the approved offline
+//! dependency set, and a flat three-string record does not need it);
+//! this module only maps its flat objects to and from [`DataEntry`].
 
 use crate::dataset::DataEntry;
+use dda_obs::event::{parse_object, Value};
 use std::error::Error;
 use std::fmt;
 
-/// Escapes a string per JSON rules.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use dda_obs::event::{escape, unescape};
 
 /// Serializes one entry to a single JSON line (no trailing newline).
 ///
@@ -80,119 +67,36 @@ impl Error for ParseJsonError {}
 pub fn from_jsonl(text: &str) -> Result<Vec<DataEntry>, ParseJsonError> {
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
-        let line_no = i + 1;
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        out.push(parse_line(line).map_err(|m| ParseJsonError {
-            line: line_no,
-            message: m,
+        out.push(parse_entry(line).map_err(|message| ParseJsonError {
+            line: i + 1,
+            message,
         })?);
     }
     Ok(out)
 }
 
-fn skip_ws_at(bytes: &[char], pos: &mut usize) {
-    while *pos < bytes.len() && bytes[*pos].is_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn parse_string(bytes: &[char], pos: &mut usize) -> Result<String, String> {
-    skip_ws_at(bytes, pos);
-    if bytes.get(*pos) != Some(&'"') {
-        return Err("expected a string".into());
-    }
-    *pos += 1;
-    let mut s = String::new();
-    while let Some(&c) = bytes.get(*pos) {
-        *pos += 1;
-        match c {
-            '"' => return Ok(s),
-            '\\' => {
-                let Some(&e) = bytes.get(*pos) else {
-                    return Err("dangling escape".into());
-                };
-                *pos += 1;
-                match e {
-                    'n' => s.push('\n'),
-                    'r' => s.push('\r'),
-                    't' => s.push('\t'),
-                    '"' => s.push('"'),
-                    '\\' => s.push('\\'),
-                    '/' => s.push('/'),
-                    'u' => {
-                        let hex: String = bytes
-                            .get(*pos..*pos + 4)
-                            .map(|c| c.iter().collect())
-                            .unwrap_or_default();
-                        *pos += 4;
-                        let v = u32::from_str_radix(&hex, 16)
-                            .map_err(|_| "bad \\u escape".to_owned())?;
-                        s.push(char::from_u32(v).unwrap_or('\u{FFFD}'));
-                    }
-                    other => return Err(format!("unknown escape \\{other}")),
-                }
-            }
-            c => s.push(c),
-        }
-    }
-    Err("unterminated string".into())
-}
-
-/// Reverses [`escape`]: decodes the body of a JSON string (no surrounding
-/// quotes). Returns `None` for malformed escapes or raw `"` characters.
-pub fn unescape(s: &str) -> Option<String> {
-    let quoted: Vec<char> = std::iter::once('"')
-        .chain(s.chars())
-        .chain(std::iter::once('"'))
-        .collect();
-    let mut pos = 0usize;
-    let out = parse_string(&quoted, &mut pos).ok()?;
-    // A raw quote in `s` would terminate the string early.
-    (pos == quoted.len()).then_some(out)
-}
-
-fn parse_line(line: &str) -> Result<DataEntry, String> {
+fn parse_entry(line: &str) -> Result<DataEntry, String> {
+    const NAMES: [&str; 3] = ["instruct", "input", "output"];
     let mut fields = [None::<String>, None, None];
-    let names = ["instruct", "input", "output"];
-    let bytes: Vec<char> = line.chars().collect();
-    let mut pos = 0usize;
-    let expect = |pos: &mut usize, c: char| -> Result<(), String> {
-        skip_ws_at(&bytes, pos);
-        if bytes.get(*pos) == Some(&c) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{c}` at offset {pos:?}", pos = *pos))
+    let mut err = None;
+    parse_object(line, |name, value| {
+        match (NAMES.iter().position(|n| *n == name), value) {
+            (Some(i), Value::Str(s)) => fields[i] = Some(s),
+            (Some(_), _) => err = Some(format!("field `{name}` must be a string")),
+            (None, _) => err = Some(format!("unknown field `{name}`")),
         }
-    };
-    skip_ws_at(&bytes, &mut pos);
-    expect(&mut pos, '{')?;
-    loop {
-        let key = parse_string(&bytes, &mut pos)?;
-        expect(&mut pos, ':')?;
-        let value = parse_string(&bytes, &mut pos)?;
-        match names.iter().position(|n| *n == key) {
-            Some(i) => fields[i] = Some(value),
-            None => return Err(format!("unknown field `{key}`")),
-        }
-        skip_ws_at(&bytes, &mut pos);
-        match bytes.get(pos) {
-            Some(',') => {
-                pos += 1;
-                continue;
-            }
-            Some('}') => break,
-            _ => return Err("expected `,` or `}`".into()),
-        }
-    }
-    let [a, b, c] = fields;
+        err.is_none().then_some(())
+    })
+    .ok_or_else(|| err.unwrap_or_else(|| "not one flat JSON object".into()))?;
+    let [instruct, input, output] = fields;
     Ok(DataEntry {
-        instruct: a.ok_or("missing field `instruct`")?,
-        input: b.ok_or("missing field `input`")?,
-        output: c.ok_or("missing field `output`")?,
+        instruct: instruct.ok_or("missing field `instruct`")?,
+        input: input.ok_or("missing field `input`")?,
+        output: output.ok_or("missing field `output`")?,
     })
 }
 
@@ -303,6 +207,19 @@ mod tests {
         assert!(line.contains('☃') && line.contains('§'));
         let back = from_jsonl(&line).unwrap();
         assert_eq!(back, vec![e]);
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_trailing_bytes_are_rejected() {
+        let line = r#"{"instruct": "\ud83d\ude80", "input": "i", "output": "o"}"#;
+        assert_eq!(from_jsonl(line).unwrap()[0].instruct, "🚀");
+        // A lone surrogate is no character (it used to become U+FFFD).
+        assert!(from_jsonl(r#"{"instruct": "\ud83d", "input": "i", "output": "o"}"#).is_err());
+        // Two records glued on one line (an append after a torn write)
+        // are not one record plus noise.
+        let glued = format!("{}{}", to_json_line(&DataEntry::new("a", "b", "c")), "{\"x");
+        let err = from_jsonl(&glued).unwrap_err();
+        assert_eq!(err.line, 1);
     }
 
     #[test]

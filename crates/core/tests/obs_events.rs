@@ -1,40 +1,41 @@
-//! Codec-parity tests between `dda_obs::event` and `dda_core::json`
-//! (satellite: event-record round-tripping). `dda-obs` sits below
-//! `dda-core` in the dependency graph and re-implements the RFC 8259
-//! minimal escaping rather than importing it; these tests pin the two
-//! implementations byte-for-byte, round-trip event records whose field
-//! values contain quotes, backslashes, and control characters, and check
-//! that `read_trace` shares the runtime journal's torn-tail tolerance.
+//! Event-record codec tests (satellite: event-record round-tripping).
+//! `dda_obs::event` is the workspace's one JSON codec; these tests pin its
+//! escaper byte-for-byte to the three escapers it replaced (kept under
+//! `tests/oracle/`), round-trip event records whose field values contain
+//! quotes, backslashes, and control characters, and check that
+//! `read_trace` and the runtime journal share the torn-tail tolerance.
 //!
 //! No global recorder state is touched here, so no serialization lock.
 
+mod oracle;
+
 use dda_core::json;
-use dda_obs::event::{encode, escape, parse};
+use dda_obs::event::{encode, escape, escape_into, parse};
 use dda_obs::{read_trace, Event, Value};
 use dda_runtime::Journal;
+use oracle::{FIELD_CHARS, HOSTILE};
 use proptest::prelude::*;
 use std::fs;
 use std::io::{ErrorKind, Write as _};
 use std::path::PathBuf;
 
-/// Strings that exercise every escape class: quotes, backslashes,
-/// named control escapes, `\uXXXX` control escapes, and multi-byte
-/// unicode that must pass through untouched.
-const HOSTILE: [&str; 8] = [
-    "",
-    "plain module_name",
-    "quote \" backslash \\ both \\\"",
-    "newline\n tab\t return\r",
-    "nul\u{0} bell\u{7} esc\u{1b} unit\u{1f}",
-    "already-escaped-looking \\n \\u0041",
-    "unicode: λ → 模块 🚀",
-    "path\\to\\\"file\".v",
-];
+/// `escape(s)` must equal what each of the old escapers wrote for `s`.
+fn assert_old_escapers_agree(s: &str) {
+    let new = escape(s);
+    assert_eq!(new, oracle::core_json::escape(s), "core json: {s:?}");
+    assert_eq!(new, oracle::obs_event::escape(s), "obs event: {s:?}");
+    let mut journal = String::new();
+    oracle::journal::escape_into(s, &mut journal);
+    assert_eq!(new, journal, "journal: {s:?}");
+    let mut appended = String::from("prefix ");
+    escape_into(&mut appended, s);
+    assert_eq!(appended.strip_prefix("prefix "), Some(new.as_str()));
+}
 
 #[test]
-fn escape_matches_core_json_byte_for_byte() {
+fn escape_matches_the_old_escapers_byte_for_byte() {
     for s in HOSTILE {
-        assert_eq!(escape(s), json::escape(s), "{s:?}");
+        assert_old_escapers_agree(s);
     }
 }
 
@@ -45,16 +46,11 @@ fn core_unescape_inverts_obs_escape() {
     }
 }
 
-/// Generator covering every escape class: raw control characters
-/// (`U+0000`–`U+001F`), quotes, backslashes, plain ASCII, and multi-byte
-/// unicode.
-const FIELD_CHARS: &str = "[\u{0}-\u{1f}a-z \"\\\\λ模🚀]{0,60}";
-
 proptest! {
     /// Parity holds on arbitrary strings, including raw control bytes.
     #[test]
-    fn escape_parity_on_arbitrary_strings(s in FIELD_CHARS) {
-        prop_assert_eq!(escape(&s), json::escape(&s));
+    fn escape_matches_the_old_escapers_on_arbitrary_strings(s in FIELD_CHARS) {
+        assert_old_escapers_agree(&s);
     }
 
     /// Event records round-trip arbitrary field values through

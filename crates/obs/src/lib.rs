@@ -16,16 +16,15 @@
 //!   `dda_core::intern::Sym`);
 //! * [`span`] — RAII wall-clock timers on the monotonic clock, aggregated
 //!   per name (count / total / min / max);
-//! * [`emit`] + [`event`] — structured JSONL trace events whose string
-//!   escaping mirrors `dda_core::json` (RFC 8259 minimal escapes), with a
-//!   torn-tail-tolerant reader matching the runtime journal's semantics;
+//! * [`emit`] + [`event`] — structured JSONL trace events, written and
+//!   read by the workspace's one JSON codec ([`event`]: the escaper, the
+//!   flat-object parser and the torn-tail line reader that dataset JSONL,
+//!   the run-engine journal and the daemon's wire frames use too);
 //! * [`report`] — a plain-text end-of-run summary renderer.
 //!
 //! This crate sits at the **bottom** of the workspace dependency graph
-//! (std only, like the vendored shims), so `dda-runtime` — itself below
-//! `dda-core` — can use it too. That is also why the JSON escaping is
-//! re-implemented rather than imported; `dda-core`'s test suite
-//! cross-checks the two byte for byte.
+//! (std only, like the vendored shims), so every crate above it —
+//! `dda-runtime` and `dda-core` included — can use it.
 //!
 //! ## Cost model
 //!

@@ -8,13 +8,15 @@
 //! [`Journal::load`] tolerates exactly that by dropping a torn final
 //! line.
 //!
-//! The string escaping here mirrors `dda_core::json` (RFC 8259 minimal
-//! escapes); it is re-implemented rather than imported because this
-//! crate sits *below* `dda-core` in the dependency graph.
+//! The lines go through the workspace's one JSON codec,
+//! `dda_obs::event`: its escaper writes them and its flat-object parser
+//! and torn-tail reader read them back. A line needs a `u64` `unit` and
+//! a string `payload`; key order and extra fields do not matter.
 
+use dda_obs::event::{escape_into, parse_object, read_jsonl, Value};
 use std::fmt::Write as _;
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Read as _, Write as _};
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 
 /// An append-only unit-outcome journal.
@@ -64,7 +66,7 @@ impl Journal {
         dda_fail::fail_io!("journal.append")?;
         let mut line = String::with_capacity(payload.len() + 32);
         let _ = write!(line, "{{\"unit\": {unit}, \"payload\": \"");
-        escape_into(payload, &mut line);
+        escape_into(&mut line, payload);
         line.push_str("\"}\n");
         self.out.write_all(line.as_bytes())?;
         self.out.flush()
@@ -96,9 +98,8 @@ impl Journal {
     /// Propagates filesystem errors; reports corrupt non-final lines as
     /// [`io::ErrorKind::InvalidData`].
     pub fn load(path: &Path) -> io::Result<Vec<(usize, String)>> {
-        let mut text = String::new();
-        File::open(path)?.read_to_string(&mut text)?;
-        Ok(parse_text(&text, path)?.0)
+        let text = fs::read_to_string(path)?;
+        Ok(read_jsonl(&text, path, "journal", parse_record)?.0)
     }
 
     /// Crash-recovery open: loads the records like [`Journal::load`],
@@ -115,9 +116,8 @@ impl Journal {
     pub fn recover(path: &Path) -> io::Result<(Journal, Vec<(usize, String)>)> {
         let mut records = Vec::new();
         if path.exists() {
-            let mut text = String::new();
-            File::open(path)?.read_to_string(&mut text)?;
-            let (recs, good_len) = parse_text(&text, path)?;
+            let text = fs::read_to_string(path)?;
+            let (recs, good_len) = read_jsonl(&text, path, "journal", parse_record)?;
             records = recs;
             if good_len < text.len() {
                 OpenOptions::new()
@@ -130,96 +130,21 @@ impl Journal {
     }
 }
 
-/// Parses journal text into records plus the byte length of the sound
-/// prefix (everything up to, but excluding, a torn final line).
-fn parse_text(text: &str, path: &Path) -> io::Result<(Vec<(usize, String)>, usize)> {
-    let pieces: Vec<&str> = text.split_inclusive('\n').collect();
-    let mut out = Vec::with_capacity(pieces.len());
-    let mut offset = 0usize;
-    let mut good_len = 0usize;
-    for (i, piece) in pieces.iter().enumerate() {
-        offset += piece.len();
-        let line = piece.trim_end_matches(['\n', '\r']);
-        if line.trim().is_empty() {
-            good_len = offset;
-            continue;
+/// Parses one journal line; `None` when malformed (torn write). Public
+/// only so the codec differential tests can hold it to the old reader.
+#[doc(hidden)]
+pub fn parse_record(line: &str) -> Option<(usize, String)> {
+    let (mut unit, mut payload) = (None, None);
+    parse_object(line, |name, value| {
+        match (name.as_str(), value) {
+            ("unit", Value::U64(n)) => unit = Some(usize::try_from(n).ok()?),
+            ("payload", Value::Str(s)) => payload = Some(s),
+            ("unit" | "payload", _) => return None,
+            _ => {}
         }
-        match parse_line(line) {
-            Some(rec) => {
-                out.push(rec);
-                good_len = offset;
-            }
-            None if i + 1 == pieces.len() => break, // torn tail from a kill
-            None => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{}: corrupt journal line {}", path.display(), i + 1),
-                ))
-            }
-        }
-    }
-    Ok((out, good_len))
-}
-
-/// Escapes `s` per JSON string rules into `out`.
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// Parses one journal line; `None` when malformed (torn write).
-fn parse_line(line: &str) -> Option<(usize, String)> {
-    let rest = line.trim().strip_prefix("{\"unit\":")?.trim_start();
-    let digits_end = rest.find(|c: char| !c.is_ascii_digit())?;
-    let unit: usize = rest[..digits_end].parse().ok()?;
-    let rest = rest[digits_end..]
-        .trim_start()
-        .strip_prefix(',')?
-        .trim_start()
-        .strip_prefix("\"payload\":")?
-        .trim_start()
-        .strip_prefix('"')?;
-    // Unescape up to the closing quote; the line must end with `"}`.
-    let mut payload = String::with_capacity(rest.len());
-    let mut chars = rest.chars();
-    loop {
-        match chars.next()? {
-            '"' => break,
-            '\\' => match chars.next()? {
-                'n' => payload.push('\n'),
-                'r' => payload.push('\r'),
-                't' => payload.push('\t'),
-                '"' => payload.push('"'),
-                '\\' => payload.push('\\'),
-                '/' => payload.push('/'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    if hex.len() != 4 {
-                        return None;
-                    }
-                    let v = u32::from_str_radix(&hex, 16).ok()?;
-                    payload.push(char::from_u32(v)?);
-                }
-                _ => return None,
-            },
-            c => payload.push(c),
-        }
-    }
-    if chars.as_str().trim() != "}" {
-        return None;
-    }
-    Some((unit, payload))
+        Some(())
+    })?;
+    Some((unit?, payload?))
 }
 
 #[cfg(test)]
@@ -320,6 +245,30 @@ mod tests {
         let err = Journal::load(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn records_need_a_u64_unit_and_a_string_payload() {
+        assert_eq!(
+            parse_record(r#"{"unit": 4, "payload": "p"}"#),
+            Some((4, "p".into()))
+        );
+        // Key order and extra fields are not part of the format.
+        assert_eq!(
+            parse_record(r#"{"payload": "p", "note": true, "unit": 4}"#),
+            Some((4, "p".into()))
+        );
+        for bad in [
+            r#"{"payload": "p"}"#,
+            r#"{"unit": 4}"#,
+            r#"{"unit": -4, "payload": "p"}"#,
+            r#"{"unit": 4.0, "payload": "p"}"#,
+            r#"{"unit": "4", "payload": "p"}"#,
+            r#"{"unit": 4, "payload": 5}"#,
+            r#"{"unit": 4, "payload": "p"} {"#,
+        ] {
+            assert_eq!(parse_record(bad), None, "accepted {bad}");
+        }
     }
 
     #[test]

@@ -14,10 +14,12 @@ use dda_core::pipeline::{self, PipelineOptions, StageSet};
 use dda_corpus::{CorpusModule, Family};
 use dda_eval::generation::{run_testbench_verdict_with, testbench_sim_options, TestbenchVerdict};
 use dda_eval::{agent_batch, AgentBatchOptions, AgentProtocol};
+use dda_obs::event::escape;
 use dda_runtime::CancelToken;
 use dda_slm::{GenOptions, ShardedTfIdf, Slm, SlmProfile, PROGRESSIVE_ORDER};
 use rand::{rngs::SmallRng, SeedableRng};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// Shard count for the resident retrieval index: enough shards that the
 /// daemon's `retrieve` path always exercises the multi-shard pruned query
@@ -239,13 +241,14 @@ fn run_retrieve(cx: &HandlerCx, query: &str, k: u64) -> RespBody {
     let mut jsonl = String::new();
     for h in &hits {
         let m = &cx.retrieve_corpus[h.id as usize];
-        jsonl.push_str(&format!(
-            "{{\"id\": {}, \"score\": {}, \"name\": \"{}\", \"source\": \"{}\"}}\n",
+        let _ = writeln!(
+            jsonl,
+            "{{\"id\": {}, \"score\": {}, \"name\": \"{}\", \"source\": \"{}\"}}",
             h.id,
             h.score,
-            dda_core::json::escape(&m.name),
-            dda_core::json::escape(&m.source),
-        ));
+            escape(&m.name),
+            escape(&m.source),
+        );
     }
     RespBody::Retrieved {
         count: hits.len() as u64,
@@ -307,11 +310,12 @@ fn run_agent(
     let out = agent_batch(&cx.slm, p, level, &context, &opts);
     let mut jsonl = String::new();
     for c in &out.chains {
-        jsonl.push_str(&format!(
+        let _ = writeln!(
+            jsonl,
             "{{\"chain\": {}, \"rounds\": {}, \"lint\": {}, \"function\": {}, \
-             \"repaired\": {}, \"cancelled\": {}}}\n",
+             \"repaired\": {}, \"cancelled\": {}}}",
             c.chain, c.rounds, c.lint_clean, c.function, c.repaired_by_loop, c.cancelled,
-        ));
+        );
     }
     RespBody::AgentReport {
         passed: out.passed(),
@@ -592,10 +596,7 @@ mod tests {
                     first.starts_with("{\"id\": 7, "),
                     "self-query must rank the module itself first: {first}"
                 );
-                assert!(first.contains(&format!(
-                    "\"name\": \"{}\"",
-                    dda_core::json::escape(&target.name)
-                )));
+                assert!(first.contains(&format!("\"name\": \"{}\"", escape(&target.name))));
             }
             other => panic!("unexpected response: {other:?}"),
         }

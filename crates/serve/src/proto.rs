@@ -1,9 +1,9 @@
 //! Typed request/response messages and their JSON object codec.
 //!
-//! One frame ([`crate::wire`]) carries one flat JSON object, reusing the
-//! `dda_obs::event` codec (the same escaping/parsing the trace files
-//! use, already cross-checked byte-for-byte against `dda_core::json`).
-//! Requests use the verb as the `"ev"` kind:
+//! One frame ([`crate::wire`]) carries one flat JSON object in the
+//! workspace's one JSON codec, `dda_obs::event` (the escaping and parsing
+//! the trace files, dataset JSONL and journals use too). Requests use the
+//! verb as the `"ev"` kind:
 //!
 //! ```json
 //! {"ev": "score", "id": 7, "priority": "high", "deadline_ms": 2000,
@@ -440,6 +440,14 @@ fn opt_u64(ev: &Event, name: &str) -> Result<Option<u64>, ProtoError> {
     }
 }
 
+fn opt_bool(ev: &Event, name: &str) -> Result<Option<bool>, ProtoError> {
+    match ev.field(name) {
+        Some(Value::Bool(b)) => Ok(Some(*b)),
+        Some(_) => Err(bad(format!("field `{name}` must be a boolean"))),
+        None => Ok(None),
+    }
+}
+
 fn opt_f64(ev: &Event, name: &str) -> Result<Option<f64>, ProtoError> {
     match ev.field(name) {
         Some(Value::F64(v)) => Ok(Some(*v)),
@@ -620,7 +628,7 @@ impl Request {
                 rounds: opt_u64(&ev, "rounds")?
                     .unwrap_or(DEFAULT_AGENT_ROUNDS)
                     .min(MAX_AGENT_ROUNDS),
-                early_exit: matches!(ev.field("early_exit"), Some(Value::Bool(true))),
+                early_exit: opt_bool(&ev, "early_exit")?.unwrap_or(false),
                 rag_k: opt_u64(&ev, "rag_k")?.unwrap_or(0).min(MAX_RETRIEVE_K),
                 runs: opt_u64(&ev, "runs")?
                     .unwrap_or(1)
@@ -799,10 +807,10 @@ impl Response {
                     uptime_ms: opt_u64(&ev, "uptime_ms")?.unwrap_or(0),
                     generation: opt_u64(&ev, "generation")?.unwrap_or(0),
                     replayed: opt_u64(&ev, "replayed")?.unwrap_or(0),
-                    failpoints: matches!(ev.field("failpoints"), Some(Value::Bool(true))),
+                    failpoints: opt_bool(&ev, "failpoints")?.unwrap_or(false),
                 },
                 "ready" => RespBody::Ready {
-                    ready: matches!(ev.field("ready"), Some(Value::Bool(true))),
+                    ready: opt_bool(&ev, "ready")?.unwrap_or(false),
                 },
                 "augment" => RespBody::Augmented {
                     entries: opt_u64(&ev, "entries")?.unwrap_or(0),
@@ -814,7 +822,7 @@ impl Response {
                 },
                 "repair" => RespBody::Repaired {
                     source: req_str(&ev, "source")?,
-                    clean: matches!(ev.field("clean"), Some(Value::Bool(true))),
+                    clean: opt_bool(&ev, "clean")?.unwrap_or(false),
                     cost: opt_u64(&ev, "cost")?.unwrap_or(0),
                 },
                 "score" => RespBody::Scored {
@@ -828,7 +836,7 @@ impl Response {
                     jsonl: req_str(&ev, "jsonl")?,
                 },
                 "agent" => RespBody::AgentReport {
-                    passed: matches!(ev.field("passed"), Some(Value::Bool(true))),
+                    passed: opt_bool(&ev, "passed")?.unwrap_or(false),
                     winner: opt_u64(&ev, "winner")?,
                     chains: opt_u64(&ev, "chains")?.unwrap_or(0),
                     rounds_total: opt_u64(&ev, "rounds_total")?.unwrap_or(0),
@@ -1026,6 +1034,35 @@ mod tests {
                 Request::from_line(bad_line).is_err(),
                 "accepted {bad_line:?}"
             );
+        }
+    }
+
+    #[test]
+    fn mistyped_booleans_are_structured_errors() {
+        let ok = "{\"ev\": \"agent\", \"id\": 1, \"problem\": \"p\", \"early_exit\": true}";
+        match Request::from_line(ok).unwrap().body {
+            ReqBody::Agent { early_exit, .. } => assert!(early_exit),
+            other => panic!("{other:?}"),
+        }
+        for v in ["1", "0", "\"true\"", "1.0"] {
+            let line = format!(
+                "{{\"ev\": \"agent\", \"id\": 1, \"problem\": \"p\", \"early_exit\": {v}}}"
+            );
+            let err = Request::from_line(&line).unwrap_err();
+            assert!(err.message.contains("early_exit"), "{v}: {err}");
+        }
+        for (verb, field) in [
+            ("health", "failpoints"),
+            ("ready", "ready"),
+            ("repair", "clean"),
+            ("agent", "passed"),
+        ] {
+            let line = format!(
+                "{{\"ev\": \"response\", \"id\": 1, \"verb\": \"{verb}\", \"status\": \"ok\", \
+                 \"source\": \"s\", \"jsonl\": \"\", \"{field}\": 1}}"
+            );
+            let err = Response::from_line(&line).unwrap_err();
+            assert!(err.message.contains(field), "{verb}: {err}");
         }
     }
 

@@ -183,6 +183,39 @@ fn invalid_json_is_an_error_response_not_a_panic() {
     server.join();
 }
 
+/// What a Python client's `json.dumps` writes by default: ASCII only,
+/// an astral character as a UTF-16 surrogate pair. The daemon answers
+/// it, and still answers a mistyped boolean with `bad_request`.
+#[test]
+fn ascii_escaped_requests_are_answered() {
+    let path = sock("asciijson");
+    let server = Server::start(&path, &fast_opts()).unwrap();
+
+    let mut c = Client::connect(&path).unwrap();
+    let frame = r#"{"ev": "generate", "id": 3, "prompt": "\ud83d\ude80 a counter \u00e9\b"}"#;
+    dda_serve::wire::write_frame(c.stream_mut(), frame).unwrap();
+    let resp = c.recv().expect("response to an ASCII-escaped request");
+    assert_eq!(resp.id, 3);
+    assert!(
+        matches!(resp.body, RespBody::Generated { .. }),
+        "expected ok, got {:?}",
+        resp.body
+    );
+
+    let frame = r#"{"ev": "agent", "id": 4, "problem": "basic4", "early_exit": "true"}"#;
+    dda_serve::wire::write_frame(c.stream_mut(), frame).unwrap();
+    match c.recv().unwrap().body {
+        RespBody::Error { code, message } => {
+            assert_eq!(code, ErrorCode::BadRequest);
+            assert!(message.contains("early_exit"), "{message}");
+        }
+        other => panic!("expected bad_request, got {other:?}"),
+    }
+
+    server.stop();
+    server.join();
+}
+
 #[test]
 fn mid_request_disconnect_is_survived() {
     let path = sock("middisc");

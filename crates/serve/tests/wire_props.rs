@@ -4,13 +4,59 @@
 //! The invariants under test are the service's outermost trust boundary:
 //! arbitrary bytes from a socket must produce either a decoded frame or a
 //! structured [`WireError`] — never a panic, a hang, or an unbounded
-//! allocation/read.
+//! allocation/read. The JSON codec under the protocol is the one that
+//! dataset JSONL and the run-engine journal share, so its totality and
+//! torn-record properties are checked for those formats here too.
 
-use dda_runtime::Priority;
-use dda_serve::proto::{ReqBody, Request, Response};
+use dda_core::dataset::DataEntry;
+use dda_core::json::{from_jsonl, to_json_line};
+use dda_obs::event::{encode, parse, Event};
+use dda_runtime::journal::parse_record;
+use dda_runtime::{Journal, Priority};
+use dda_serve::proto::{ReqBody, Request, RespBody, Response};
 use dda_serve::wire::{read_frame, write_frame, WireError, MAX_FRAME};
 use proptest::prelude::*;
 use std::io::Cursor;
+
+/// One record of every JSON format carrying `s`: an event, a request, a
+/// response, a dataset line and a journal line.
+fn records(s: &str, n: u64) -> [String; 5] {
+    let req = Request {
+        id: n,
+        priority: Priority::High,
+        deadline_ms: Some(n % 60_000),
+        body: ReqBody::Generate {
+            instruct: s.to_string(),
+            prompt: s.to_string(),
+            temperature: 0.5,
+            seed: n,
+        },
+    };
+    let resp = Response {
+        id: n,
+        verb: "repair".into(),
+        body: RespBody::Repaired {
+            source: s.to_string(),
+            clean: n.is_multiple_of(2),
+            cost: n,
+        },
+    };
+    let mut journal = String::new();
+    let path = std::env::temp_dir().join(format!("dda-wire-props-{}-{n}", std::process::id()));
+    Journal::create(&path)
+        .unwrap()
+        .record(n as usize, s)
+        .unwrap();
+    journal.push_str(std::fs::read_to_string(&path).unwrap().trim_end());
+    std::fs::remove_file(&path).ok();
+    [
+        encode(&Event::new("stage").str("module", s).u64("n", n)),
+        req.to_line(),
+        resp.to_line(),
+        to_json_line(&DataEntry::new(s, s, s)),
+        journal,
+    ]
+}
 
 proptest! {
     /// Any payload string round-trips through the frame codec, including
@@ -161,5 +207,56 @@ proptest! {
         };
         let back = Request::from_line(&req.to_line()).unwrap();
         prop_assert_eq!(back, req);
+    }
+
+    /// A torn record never parses: every proper prefix of a record of any
+    /// format is rejected, which is what lets every reader drop a torn
+    /// final line instead of reading a wrong record from it.
+    #[test]
+    fn torn_records_never_parse(s in "\\PC{0,40}", ctl in "[\u{0}-\u{1f}\"\\\\]{0,8}", n in any::<u64>()) {
+        let s = format!("{s}{ctl}");
+        let [event, request, response, entry, journal] = records(&s, n);
+        prop_assert!(parse(&event).is_some());
+        prop_assert!(Request::from_line(&request).is_ok());
+        prop_assert!(Response::from_line(&response).is_ok());
+        prop_assert!(from_jsonl(&entry).is_ok());
+        prop_assert!(parse_record(&journal).is_some());
+        for (i, _) in event.char_indices() {
+            prop_assert!(parse(&event[..i]).is_none(), "event prefix {:?}", &event[..i]);
+        }
+        for (i, _) in request.char_indices() {
+            prop_assert!(Request::from_line(&request[..i]).is_err(), "request prefix {:?}", &request[..i]);
+        }
+        for (i, _) in response.char_indices() {
+            prop_assert!(Response::from_line(&response[..i]).is_err(), "response prefix {:?}", &response[..i]);
+        }
+        // The empty prefix of a dataset file is an empty dataset.
+        for (i, _) in entry.char_indices().skip(1) {
+            prop_assert!(from_jsonl(&entry[..i]).is_err(), "dataset prefix {:?}", &entry[..i]);
+        }
+        for (i, _) in journal.char_indices() {
+            prop_assert!(parse_record(&journal[..i]).is_none(), "journal prefix {:?}", &journal[..i]);
+        }
+    }
+
+    /// Dataset decode is total on arbitrary text: entries or a
+    /// structured error with a line number, never a panic.
+    #[test]
+    fn dataset_decode_is_total(bytes in prop::collection::vec(any::<u8>(), 0..200)) {
+        let text = String::from_utf8_lossy(&bytes);
+        if let Err(e) = from_jsonl(&text) {
+            prop_assert!(e.line >= 1 && e.line <= text.lines().count());
+        }
+    }
+
+    /// `Journal::load` is total on arbitrary file contents, invalid
+    /// UTF-8 included: records or an error, never a panic.
+    #[test]
+    fn journal_load_is_total(bytes in prop::collection::vec(any::<u8>(), 0..200), case in any::<u64>()) {
+        let path = std::env::temp_dir()
+            .join(format!("dda-wire-props-load-{}-{case}", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let _ = Journal::load(&path);
+        std::fs::remove_file(&path).ok();
     }
 }
