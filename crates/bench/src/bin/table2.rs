@@ -9,14 +9,14 @@
 //! Usage: `cargo run --release -p dda-bench --bin table2
 //! [--modules N] [--workers N] [--resume PATH]`
 //!
-//! `--workers`/`--resume` route the augmentation through the supervised
-//! runtime engine (parallel workers, write-ahead journal, resume); the
-//! default path keeps the original sequential `augment`, byte-identical
-//! to previous releases.
+//! The augmentation runs on the supervised runtime engine, each module on
+//! its own seeded RNG, so the table is the same for any `--workers` count
+//! and with or without a `--resume` journal; those flags change only wall
+//! clock and crash safety.
 
 use dda_bench::{log_summary, RunFlags};
 use dda_core::completion::CompletionOptions;
-use dda_core::pipeline::{augment, PipelineOptions};
+use dda_core::pipeline::PipelineOptions;
 use dda_core::supervised::augment_supervised;
 use dda_eval::report::{count_label, size_label, TextTable};
 use rand::rngs::SmallRng;
@@ -38,19 +38,13 @@ fn main() {
         completion: CompletionOptions::default(),
         ..PipelineOptions::default()
     };
-    let (ds, report) = if flags.supervised() {
-        let (ds, report, summary) = augment_supervised(
-            &corpus,
-            &opts,
-            &flags.augment("table2", &(modules, &opts), 2025),
-        )
-        .expect("augmentation journal I/O");
-        log_summary("table2", &summary);
-        (ds, report)
-    } else {
-        let mut rng2 = SmallRng::seed_from_u64(2025);
-        augment(&corpus, &opts, &mut rng2)
-    };
+    let (ds, report, summary) = augment_supervised(
+        &corpus,
+        &opts,
+        &flags.augment("table2", &(modules, &opts), 2025),
+    )
+    .expect("augmentation journal I/O");
+    log_summary("table2", &summary);
     assert!(report.is_conserved() && report.quarantines.is_empty());
 
     println!("Table 2: Dataset Scale through Data Augmentation Framework");

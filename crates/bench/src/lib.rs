@@ -187,12 +187,6 @@ impl RunFlags {
         ModelZoo::build(&self.zoo_options())
     }
 
-    /// True when either `--workers` or `--resume` asks for the supervised
-    /// augmentation engine (table2).
-    pub fn supervised(&self) -> bool {
-        self.workers > 1 || self.resume.is_some()
-    }
-
     /// Engine options shared by every sweep of the binary.
     pub fn run_options(&self) -> RunOptions {
         RunOptions {

@@ -6,6 +6,21 @@
 //! over-length entries (§4). The output [`Dataset`] carries per-task
 //! groups whose sizes regenerate Table 2.
 //!
+//! # One stage loop, two entry points
+//!
+//! The work splits into units: one per corpus module (its completion,
+//! alignment and repair stages), then one for the EDA-script pool. A unit
+//! runs through one function, and its outcome is booked into the dataset
+//! and the [`AugmentReport`] by one booking step, in unit-id order. Two
+//! entry points feed them, and differ only in where each unit's RNG
+//! comes from:
+//!
+//! * [`augment`] runs every unit in-line on the caller's RNG, in order,
+//!   and books each as it finishes;
+//! * [`augment_supervised`](crate::supervised::augment_supervised) runs
+//!   them on the `dda-runtime` engine, each on its own seeded RNG, and
+//!   books the engine's outcomes after the run.
+//!
 //! # Fault tolerance
 //!
 //! Real corpora are dirty: truncated files, junk bytes, pathological
@@ -24,6 +39,7 @@ use crate::dataset::{DataEntry, Dataset, TaskKind};
 use crate::edascript::generate_eda_entries;
 use crate::repair::{repair_entries, RepairOptions};
 use dda_corpus::CorpusModule;
+use dda_runtime::UnitOutcome;
 use rand::Rng;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -213,6 +229,15 @@ impl AugmentReport {
         }
     }
 
+    fn stage_mut(&mut self, stage: Stage) -> &mut StageTally {
+        match stage {
+            Stage::Completion => &mut self.completion,
+            Stage::Alignment => &mut self.alignment,
+            Stage::Repair => &mut self.repair,
+            Stage::EdaScript => &mut self.eda_script,
+        }
+    }
+
     /// Whether accounting is conserved: every module lands in exactly one
     /// bucket of every per-module stage, and the EDA pool in one of its.
     pub fn is_conserved(&self) -> bool {
@@ -263,7 +288,7 @@ impl AugmentReport {
 /// exact sites that increment the [`StageTally`] buckets, so they always
 /// reconcile with the returned [`AugmentReport`]; the check is one relaxed
 /// atomic load when the recorder is disabled (the default).
-pub(crate) fn obs_stage(stage: Stage, module: &str, outcome: &str, entries: usize) {
+fn obs_stage(stage: Stage, module: &str, outcome: &str, entries: usize) {
     if !dda_obs::enabled() {
         return;
     }
@@ -292,7 +317,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs `f` with panic isolation; a panic becomes an `Err` message.
-pub(crate) fn guarded<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+fn guarded<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|p| panic_message(&*p))
 }
 
@@ -301,90 +326,211 @@ fn diagnose(source: &str) -> Option<String> {
     dda_verilog::parse(source).err().map(|e| e.to_string())
 }
 
-/// Books the outcome of one (module, stage) unit: pushes entries on
-/// success and classifies empty results as skipped (clean source, nothing
-/// to emit) or quarantined (diagnostic or panic).
-pub(crate) fn book_stage(
-    outcome: Result<Vec<(TaskKind, DataEntry)>, String>,
-    module: &CorpusModule,
-    stage: Stage,
-    ds: &mut Dataset,
-    tally: &mut StageTally,
-    quarantines: &mut Vec<QuarantineRecord>,
-) {
-    match outcome {
-        Ok(entries) if !entries.is_empty() => {
-            tally.ok += 1;
-            tally.entries += entries.len();
-            obs_stage(stage, &module.name, "ok", entries.len());
-            for (k, e) in entries {
-                ds.push(k, e);
-            }
-        }
-        Ok(_) => match diagnose(&module.source) {
-            Some(diagnostic) => {
-                tally.quarantined += 1;
-                obs_stage(stage, &module.name, "quarantined", 0);
-                quarantines.push(QuarantineRecord {
-                    module: module.name.clone(),
-                    stage,
-                    diagnostic,
-                    panicked: false,
-                });
-            }
-            None => {
-                tally.skipped += 1;
-                obs_stage(stage, &module.name, "skipped", 0);
-            }
-        },
-        Err(diagnostic) => {
-            tally.quarantined += 1;
-            obs_stage(stage, &module.name, "quarantined", 0);
-            quarantines.push(QuarantineRecord {
-                module: module.name.clone(),
-                stage,
-                diagnostic,
-                panicked: true,
-            });
-        }
-    }
+/// The module name the EDA-script pool is booked under.
+pub(crate) const EDA_POOL: &str = "<eda-pool>";
+
+/// What one stage produced: `None` when the stage is disabled, otherwise
+/// its entries or the message of a panic [`guarded`] caught.
+pub(crate) type StageYield = Option<Result<Vec<(TaskKind, DataEntry)>, String>>;
+
+/// What one unit produced. Unit `u < corpus.len()` is corpus module `u`;
+/// unit `corpus.len()` is the EDA-script pool.
+pub(crate) enum UnitYield {
+    /// A corpus module: one slot per [`Stage::PER_MODULE`] stage, in order.
+    Module([StageYield; 3]),
+    /// The EDA-script pool.
+    Eda(StageYield),
 }
 
-/// Recycles quarantine diagnostics into §3.2-style pairs: the broken
-/// source paired with the tool's verdict, one per (module, diagnostic).
-/// Panic messages are internal, not tool reports, so they are skipped.
-pub(crate) fn recycle_quarantines(
+/// Runs one unit's enabled stages, each under panic isolation. Only the
+/// repair stage and the EDA pool draw from `rng`.
+pub(crate) fn run_unit<R: Rng + ?Sized>(
     corpus: &[CorpusModule],
-    report: &mut AugmentReport,
-    ds: &mut Dataset,
-) {
-    let mut seen: Vec<(&str, &str)> = Vec::new();
-    let mut extra = Vec::new();
-    for q in report.quarantines.iter().filter(|q| !q.panicked) {
-        let key = (q.module.as_str(), q.diagnostic.as_str());
-        if seen.contains(&key) {
-            continue;
-        }
-        seen.push(key);
-        if let Some(m) = corpus.iter().find(|m| m.name == q.module) {
-            extra.push(DataEntry::new(
-                QUARANTINE_INSTRUCT,
-                m.source.clone(),
-                q.diagnostic.clone(),
-            ));
+    opts: &PipelineOptions,
+    unit: usize,
+    rng: &mut R,
+) -> UnitYield {
+    let on = opts.stages;
+    let Some(m) = corpus.get(unit) else {
+        return UnitYield::Eda(
+            on.eda_script
+                .then(|| guarded(|| generate_eda_entries(opts.eda_scripts, rng))),
+        );
+    };
+    UnitYield::Module([
+        on.completion
+            .then(|| guarded(|| completion_entries(&m.source, &opts.completion))),
+        on.alignment.then(|| guarded(|| align_entries(&m.source))),
+        on.repair.then(|| {
+            let file = format!("{}.v", m.name);
+            guarded(|| repair_entries(&file, &m.source, opts.repairs_per_module, &opts.repair, rng))
+        }),
+    ])
+}
+
+/// Books unit outcomes, in unit-id order, into the dataset and the
+/// [`AugmentReport`]. Every tally bucket, quarantine record and obs stage
+/// tick of a run is written here, whichever entry point ran the units.
+pub(crate) struct Booking<'a> {
+    corpus: &'a [CorpusModule],
+    opts: &'a PipelineOptions,
+    ds: Dataset,
+    report: AugmentReport,
+}
+
+impl<'a> Booking<'a> {
+    pub(crate) fn new(corpus: &'a [CorpusModule], opts: &'a PipelineOptions) -> Booking<'a> {
+        Booking {
+            corpus,
+            opts,
+            ds: Dataset::new(),
+            report: AugmentReport {
+                modules: corpus.len(),
+                ..AugmentReport::default()
+            },
         }
     }
-    report.recycled = extra.len();
-    if dda_obs::enabled() && report.recycled > 0 {
-        dda_obs::count("pipeline.recycled", report.recycled as u64);
-        dda_obs::emit(dda_obs::Event::new("recycle").u64("pairs", report.recycled as u64));
+
+    /// Books unit `unit`. A unit the engine quarantined (deadline trip,
+    /// exhausted retries) is booked as quarantined in every enabled stage,
+    /// so conservation holds for any outcome mix. The EDA pool is the last
+    /// unit: quarantine recycling runs just before it is booked.
+    pub(crate) fn book(&mut self, unit: usize, outcome: UnitOutcome<UnitYield>) {
+        let corpus = self.corpus;
+        if unit == corpus.len() && self.opts.recycle_quarantined {
+            self.recycle();
+        }
+        let Some(m) = corpus.get(unit) else {
+            match outcome {
+                UnitOutcome::Ok(UnitYield::Eda(None)) => self.skip(Stage::EdaScript, EDA_POOL),
+                UnitOutcome::Ok(UnitYield::Eda(Some(Ok(entries)))) => {
+                    self.push_ok(Stage::EdaScript, EDA_POOL, entries)
+                }
+                UnitOutcome::Ok(UnitYield::Eda(Some(Err(diagnostic)))) => {
+                    self.quarantine(Stage::EdaScript, EDA_POOL, diagnostic, true)
+                }
+                UnitOutcome::Quarantined {
+                    diagnostic,
+                    panicked,
+                } => self.quarantine(Stage::EdaScript, EDA_POOL, diagnostic, panicked),
+                UnitOutcome::Ok(UnitYield::Module(_)) => {
+                    unreachable!("module yield on the EDA unit")
+                }
+            }
+            return;
+        };
+        match outcome {
+            UnitOutcome::Ok(UnitYield::Module(slots)) => {
+                for (stage, slot) in Stage::PER_MODULE.into_iter().zip(slots) {
+                    match slot {
+                        Some(outcome) => self.book_stage(stage, m, outcome),
+                        None => self.skip(stage, &m.name),
+                    }
+                }
+            }
+            UnitOutcome::Quarantined {
+                diagnostic,
+                panicked,
+            } => {
+                let on = self.opts.stages;
+                let enabled = [on.completion, on.alignment, on.repair];
+                for (stage, enabled) in Stage::PER_MODULE.into_iter().zip(enabled) {
+                    if enabled {
+                        self.quarantine(stage, &m.name, diagnostic.clone(), panicked);
+                    } else {
+                        self.skip(stage, &m.name);
+                    }
+                }
+            }
+            UnitOutcome::Ok(UnitYield::Eda(_)) => unreachable!("EDA yield on module unit {unit}"),
+        }
     }
-    for e in extra {
-        ds.push(TaskKind::VerilogDebug, e);
+
+    /// Books one stage of module `m`: entries on success; an empty result
+    /// is skipped (clean source, nothing to emit) or quarantined with the
+    /// parser's diagnostic; a caught panic is quarantined.
+    fn book_stage(
+        &mut self,
+        stage: Stage,
+        m: &CorpusModule,
+        outcome: Result<Vec<(TaskKind, DataEntry)>, String>,
+    ) {
+        match outcome {
+            Ok(entries) if !entries.is_empty() => self.push_ok(stage, &m.name, entries),
+            Ok(_) => match diagnose(&m.source) {
+                Some(diagnostic) => self.quarantine(stage, &m.name, diagnostic, false),
+                None => self.skip(stage, &m.name),
+            },
+            Err(diagnostic) => self.quarantine(stage, &m.name, diagnostic, true),
+        }
+    }
+
+    fn push_ok(&mut self, stage: Stage, module: &str, entries: Vec<(TaskKind, DataEntry)>) {
+        let tally = self.report.stage_mut(stage);
+        tally.ok += 1;
+        tally.entries += entries.len();
+        obs_stage(stage, module, "ok", entries.len());
+        for (k, e) in entries {
+            self.ds.push(k, e);
+        }
+    }
+
+    fn skip(&mut self, stage: Stage, module: &str) {
+        self.report.stage_mut(stage).skipped += 1;
+        obs_stage(stage, module, "skipped", 0);
+    }
+
+    fn quarantine(&mut self, stage: Stage, module: &str, diagnostic: String, panicked: bool) {
+        self.report.stage_mut(stage).quarantined += 1;
+        obs_stage(stage, module, "quarantined", 0);
+        self.report.quarantines.push(QuarantineRecord {
+            module: module.to_string(),
+            stage,
+            diagnostic,
+            panicked,
+        });
+    }
+
+    /// Recycles quarantine diagnostics into §3.2-style pairs: the broken
+    /// source paired with the tool's verdict, one per (module,
+    /// diagnostic). Panic messages are internal, not tool reports, so they
+    /// are skipped.
+    fn recycle(&mut self) {
+        let mut seen: Vec<(&str, &str)> = Vec::new();
+        let mut extra = Vec::new();
+        for q in self.report.quarantines.iter().filter(|q| !q.panicked) {
+            let key = (q.module.as_str(), q.diagnostic.as_str());
+            if seen.contains(&key) {
+                continue;
+            }
+            seen.push(key);
+            if let Some(m) = self.corpus.iter().find(|m| m.name == q.module) {
+                extra.push(DataEntry::new(
+                    QUARANTINE_INSTRUCT,
+                    m.source.clone(),
+                    q.diagnostic.clone(),
+                ));
+            }
+        }
+        self.report.recycled = extra.len();
+        if dda_obs::enabled() && self.report.recycled > 0 {
+            dda_obs::count("pipeline.recycled", extra.len() as u64);
+            dda_obs::emit(dda_obs::Event::new("recycle").u64("pairs", extra.len() as u64));
+        }
+        for e in extra {
+            self.ds.push(TaskKind::VerilogDebug, e);
+        }
+    }
+
+    /// Trims over-length entries (§4) and hands back the run's output.
+    pub(crate) fn finish(mut self) -> (Dataset, AugmentReport) {
+        self.ds.trim_by_token_len(self.opts.max_entry_tokens);
+        (self.ds, self.report)
     }
 }
 
-/// Runs the full augmentation pipeline over a corpus.
+/// Runs the full augmentation pipeline over a corpus, in-line: each unit
+/// runs in id order on the shared `rng` and is booked as it finishes.
 ///
 /// The paper's progressive-training order (bulk completion first, refined
 /// aligned data second, §3.1) is preserved in each group's entry order:
@@ -402,88 +548,11 @@ pub fn augment<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> (Dataset, AugmentReport) {
     let _run_span = dda_obs::span("pipeline.augment");
-    let mut ds = Dataset::new();
-    let mut report = AugmentReport {
-        modules: corpus.len(),
-        ..AugmentReport::default()
-    };
-    for m in corpus {
-        if opts.stages.completion {
-            book_stage(
-                guarded(|| completion_entries(&m.source, &opts.completion)),
-                m,
-                Stage::Completion,
-                &mut ds,
-                &mut report.completion,
-                &mut report.quarantines,
-            );
-        } else {
-            report.completion.skipped += 1;
-            obs_stage(Stage::Completion, &m.name, "skipped", 0);
-        }
-        if opts.stages.alignment {
-            book_stage(
-                guarded(|| align_entries(&m.source)),
-                m,
-                Stage::Alignment,
-                &mut ds,
-                &mut report.alignment,
-                &mut report.quarantines,
-            );
-        } else {
-            report.alignment.skipped += 1;
-            obs_stage(Stage::Alignment, &m.name, "skipped", 0);
-        }
-        if opts.stages.repair {
-            let file = format!("{}.v", m.name);
-            book_stage(
-                guarded(|| {
-                    repair_entries(&file, &m.source, opts.repairs_per_module, &opts.repair, rng)
-                }),
-                m,
-                Stage::Repair,
-                &mut ds,
-                &mut report.repair,
-                &mut report.quarantines,
-            );
-        } else {
-            report.repair.skipped += 1;
-            obs_stage(Stage::Repair, &m.name, "skipped", 0);
-        }
+    let mut booking = Booking::new(corpus, opts);
+    for unit in 0..=corpus.len() {
+        booking.book(unit, UnitOutcome::Ok(run_unit(corpus, opts, unit, rng)));
     }
-
-    if opts.recycle_quarantined {
-        recycle_quarantines(corpus, &mut report, &mut ds);
-    }
-
-    if opts.stages.eda_script {
-        match guarded(|| generate_eda_entries(opts.eda_scripts, rng)) {
-            Ok(entries) => {
-                report.eda_script.ok += 1;
-                report.eda_script.entries += entries.len();
-                obs_stage(Stage::EdaScript, "<eda-pool>", "ok", entries.len());
-                for (k, e) in entries {
-                    ds.push(k, e);
-                }
-            }
-            Err(diagnostic) => {
-                report.eda_script.quarantined += 1;
-                obs_stage(Stage::EdaScript, "<eda-pool>", "quarantined", 0);
-                report.quarantines.push(QuarantineRecord {
-                    module: "<eda-pool>".to_string(),
-                    stage: Stage::EdaScript,
-                    diagnostic,
-                    panicked: true,
-                });
-            }
-        }
-    } else {
-        report.eda_script.skipped += 1;
-        obs_stage(Stage::EdaScript, "<eda-pool>", "skipped", 0);
-    }
-
-    ds.trim_by_token_len(opts.max_entry_tokens);
-    (ds, report)
+    booking.finish()
 }
 
 #[cfg(test)]
@@ -583,25 +652,23 @@ mod tests {
     #[test]
     fn panics_become_quarantine_records() {
         // Unit-level check of the isolation helper plus bookkeeping.
-        let m = CorpusModule {
+        let corpus = [CorpusModule {
             family: dda_corpus::Family::ALL[0],
             name: "boom".into(),
             source: "module boom; endmodule".into(),
-        };
-        let mut ds = Dataset::new();
-        let mut tally = StageTally::default();
-        let mut quarantines = Vec::new();
+        }];
+        let opts = PipelineOptions::default();
+        let mut booking = Booking::new(&corpus, &opts);
         let outcome =
             guarded(|| -> Vec<(TaskKind, DataEntry)> { panic!("injected failure in stage") });
-        book_stage(
-            outcome,
-            &m,
-            Stage::Repair,
-            &mut ds,
-            &mut tally,
-            &mut quarantines,
+        booking.book(
+            0,
+            UnitOutcome::Ok(UnitYield::Module([None, None, Some(outcome)])),
         );
-        assert_eq!(tally.quarantined, 1);
+        let (ds, report) = booking.finish();
+        assert_eq!(report.repair.quarantined, 1);
+        assert_eq!(report.completion.skipped, 1);
+        let quarantines = &report.quarantines;
         assert_eq!(quarantines.len(), 1);
         assert!(quarantines[0].panicked);
         assert!(
@@ -611,6 +678,43 @@ mod tests {
         );
         assert_eq!(quarantines[0].stage, Stage::Repair);
         assert!(ds.is_empty());
+    }
+
+    #[test]
+    fn engine_quarantines_book_every_enabled_stage() {
+        let c = corpus(2, 17);
+        let opts = PipelineOptions {
+            stages: StageSet::GENERAL_AUG,
+            ..PipelineOptions::default()
+        };
+        let lost = || UnitOutcome::Quarantined {
+            diagnostic: "deadline".to_string(),
+            panicked: false,
+        };
+        let mut booking = Booking::new(&c, &opts);
+        booking.book(0, lost());
+        booking.book(
+            1,
+            UnitOutcome::Ok(run_unit(&c, &opts, 1, &mut SmallRng::seed_from_u64(0))),
+        );
+        booking.book(2, lost());
+        let (_, report) = booking.finish();
+        assert!(report.is_conserved());
+        assert_eq!(report.completion.quarantined, 1);
+        assert_eq!(report.alignment.skipped, 2);
+        assert_eq!(report.eda_script.quarantined, 1);
+        let booked: Vec<_> = report
+            .quarantines
+            .iter()
+            .map(|q| (q.module.as_str(), q.stage))
+            .collect();
+        assert_eq!(
+            booked,
+            [
+                (c[0].name.as_str(), Stage::Completion),
+                (EDA_POOL, Stage::EdaScript)
+            ]
+        );
     }
 
     #[test]

@@ -1,46 +1,43 @@
 //! Supervised, resumable augmentation on the `dda-runtime` engine.
 //!
-//! [`augment_supervised`] runs the Fig. 4 pipeline with one engine unit
-//! per corpus module (all enabled per-module stages) plus one final unit
-//! for the EDA-script pool, on a bounded worker pool with per-unit
-//! wall-clock deadlines, seeded retry, and an optional write-ahead
-//! journal for checkpoint/resume.
+//! [`augment_supervised`] is the engine entry point of the pipeline's one
+//! stage loop (see [`crate::pipeline`]): one engine unit per corpus
+//! module (all enabled per-module stages) plus one final unit for the
+//! EDA-script pool, on a bounded worker pool with per-unit wall-clock
+//! deadlines, seeded retry, and an optional write-ahead journal for
+//! checkpoint/resume. Each unit runs through the same unit function as
+//! [`augment`](crate::pipeline::augment), and the engine's outcomes go
+//! through the same booking step, in unit-id order.
 //!
 //! # Determinism
 //!
-//! The legacy [`augment`](crate::pipeline::augment) threads one shared
-//! RNG sequentially through every stage call, which is inherently
-//! order-dependent. The supervised path instead derives an independent
-//! seed per unit (splitmix64 over `(seed, unit)`), so each unit's output
-//! is a pure function of `(corpus, options, seed, unit)` and the
-//! assembled dataset is **byte-identical for any worker count,
-//! scheduling order, or interruption point**. The cost is that its
-//! repair/EDA entries differ from the legacy sequential stream for the
-//! same seed — callers pinning legacy bytes (the model zoo, committed
-//! tables) keep calling `augment`.
+//! The two entry points differ only in where each unit's RNG comes from.
+//! `augment` threads the caller's RNG through the units in order;
+//! this one seeds each unit on its own (splitmix64 over
+//! `(seed, unit)`), so each unit's output is a pure function of
+//! `(corpus, options, seed, unit)` and the assembled dataset is
+//! **byte-identical for any worker count, scheduling order, or
+//! interruption point**. Its repair and EDA entries therefore differ
+//! from `augment`'s for the same seed, and callers pinned to the
+//! sequential stream (the model zoo, the seeded tables) call `augment`.
 //!
 //! # Accounting
 //!
-//! Stage-level panics are caught inside the unit (as in `augment`) and
-//! booked per stage. A unit the *engine* quarantines (deadline trip,
-//! exhausted retries) is booked as quarantined in **every enabled
-//! per-module stage**, so `ok + skipped + quarantined == corpus.len()`
-//! holds for any outcome mix — the PR 1 invariant survives parallelism.
+//! Stage-level panics are caught inside the unit and booked per stage. A
+//! unit the *engine* quarantines (deadline trip, exhausted retries) is
+//! booked as quarantined in **every enabled per-module stage**, so
+//! `ok + skipped + quarantined == corpus.len()` holds for any outcome
+//! mix.
 
-use crate::align::align_entries;
-use crate::completion::completion_entries;
-use crate::dataset::{DataEntry, Dataset, TaskKind};
-use crate::edascript::generate_eda_entries;
+use crate::dataset::{Dataset, TaskKind};
 use crate::json;
 use crate::pipeline::{
-    book_stage, guarded, obs_stage, recycle_quarantines, AugmentReport, PipelineOptions,
-    QuarantineRecord, Stage,
+    run_unit, AugmentReport, Booking, PipelineOptions, StageYield, UnitYield, EDA_POOL,
 };
-use crate::repair::repair_entries;
 use dda_corpus::CorpusModule;
 use dda_runtime::{
     run_supervised, run_supervised_journaled, CancelToken, EngineReport, EngineSummary, RunOptions,
-    UnitError, UnitOutcome, DEADLINE_DIAGNOSTIC,
+    UnitError, DEADLINE_DIAGNOSTIC,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -78,18 +75,6 @@ fn unit_seed(seed: u64, unit: usize) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// What one stage produced: `None` = stage disabled, `Err` = caught
-/// panic message (the same shape [`guarded`] feeds to [`book_stage`]).
-type StageYield = Option<Result<Vec<(TaskKind, DataEntry)>, String>>;
-
-/// The result of one engine unit.
-enum UnitYield {
-    /// A corpus module: one slot per per-module stage, pipeline order.
-    Module([StageYield; 3]),
-    /// The EDA-script pool (final unit).
-    Eda(StageYield),
 }
 
 fn encode_stage(out: &mut String, st: &StageYield) {
@@ -183,37 +168,9 @@ pub fn augment_supervised(
     let units = corpus.len() + 1; // final unit = EDA pool
     let exec = |unit: usize, cancel: &CancelToken| -> Result<UnitYield, UnitError> {
         let mut rng = SmallRng::seed_from_u64(unit_seed(sup.seed, unit));
-        let y = if unit < corpus.len() {
-            let m = &corpus[unit];
-            UnitYield::Module([
-                opts.stages
-                    .completion
-                    .then(|| guarded(|| completion_entries(&m.source, &opts.completion))),
-                opts.stages
-                    .alignment
-                    .then(|| guarded(|| align_entries(&m.source))),
-                opts.stages.repair.then(|| {
-                    let file = format!("{}.v", m.name);
-                    guarded(|| {
-                        repair_entries(
-                            &file,
-                            &m.source,
-                            opts.repairs_per_module,
-                            &opts.repair,
-                            &mut rng,
-                        )
-                    })
-                }),
-            ])
-        } else {
-            UnitYield::Eda(
-                opts.stages
-                    .eda_script
-                    .then(|| guarded(|| generate_eda_entries(opts.eda_scripts, &mut rng))),
-            )
-        };
+        let y = run_unit(corpus, opts, unit, &mut rng);
         if cancel.is_cancelled() {
-            let what = corpus.get(unit).map_or("<eda-pool>", |m| m.name.as_str());
+            let what = corpus.get(unit).map_or(EDA_POOL, |m| m.name.as_str());
             return Err(UnitError::fatal(format!("{DEADLINE_DIAGNOSTIC} ({what})")));
         }
         Ok(y)
@@ -232,136 +189,23 @@ pub fn augment_supervised(
     };
     let summary = engine.summary();
 
-    // Assembly: book every unit in id order — the same order, and the
-    // same bookkeeping, as the sequential pipeline loop. Being
-    // single-threaded and scheduling-independent, it also makes the
-    // obs stage counters invariant across worker counts.
+    // Assembly: book every unit in id order, single-threaded, so the
+    // dataset, the report and the obs stage counters are invariant across
+    // worker counts.
     let _assembly_span = dda_obs::span("pipeline.assemble");
-    let mut ds = Dataset::new();
-    let mut report = AugmentReport {
-        modules: corpus.len(),
-        ..AugmentReport::default()
-    };
-    fn tallies(report: &mut AugmentReport, stage: Stage) -> &mut crate::pipeline::StageTally {
-        match stage {
-            Stage::Completion => &mut report.completion,
-            Stage::Alignment => &mut report.alignment,
-            _ => &mut report.repair,
-        }
+    let mut booking = Booking::new(corpus, opts);
+    for u in engine.units {
+        booking.book(u.unit, u.outcome);
     }
-    for u in &engine.units {
-        if u.unit < corpus.len() {
-            let m = &corpus[u.unit];
-            let enabled = [
-                opts.stages.completion,
-                opts.stages.alignment,
-                opts.stages.repair,
-            ];
-            match &u.outcome {
-                UnitOutcome::Ok(UnitYield::Module(stages)) => {
-                    for (i, stage) in Stage::PER_MODULE.into_iter().enumerate() {
-                        match &stages[i] {
-                            None => {
-                                tallies(&mut report, stage).skipped += 1;
-                                obs_stage(stage, &m.name, "skipped", 0);
-                            }
-                            Some(outcome) => {
-                                let mut quarantines = std::mem::take(&mut report.quarantines);
-                                book_stage(
-                                    outcome.clone(),
-                                    m,
-                                    stage,
-                                    &mut ds,
-                                    tallies(&mut report, stage),
-                                    &mut quarantines,
-                                );
-                                report.quarantines = quarantines;
-                            }
-                        }
-                    }
-                }
-                UnitOutcome::Ok(UnitYield::Eda(_)) => {
-                    unreachable!("EDA yield on a module unit")
-                }
-                // Engine-level quarantine (deadline, exhausted retries):
-                // book the whole module as quarantined in every enabled
-                // per-module stage so conservation holds.
-                UnitOutcome::Quarantined {
-                    diagnostic,
-                    panicked,
-                } => {
-                    for (i, stage) in Stage::PER_MODULE.into_iter().enumerate() {
-                        if enabled[i] {
-                            tallies(&mut report, stage).quarantined += 1;
-                            obs_stage(stage, &m.name, "quarantined", 0);
-                            report.quarantines.push(QuarantineRecord {
-                                module: m.name.clone(),
-                                stage,
-                                diagnostic: diagnostic.clone(),
-                                panicked: *panicked,
-                            });
-                        } else {
-                            tallies(&mut report, stage).skipped += 1;
-                            obs_stage(stage, &m.name, "skipped", 0);
-                        }
-                    }
-                }
-            }
-        } else {
-            match &u.outcome {
-                UnitOutcome::Ok(UnitYield::Eda(None)) => {
-                    report.eda_script.skipped += 1;
-                    obs_stage(Stage::EdaScript, "<eda-pool>", "skipped", 0);
-                }
-                UnitOutcome::Ok(UnitYield::Eda(Some(Ok(entries)))) => {
-                    report.eda_script.ok += 1;
-                    report.eda_script.entries += entries.len();
-                    obs_stage(Stage::EdaScript, "<eda-pool>", "ok", entries.len());
-                    for (k, e) in entries {
-                        ds.push(*k, e.clone());
-                    }
-                }
-                UnitOutcome::Ok(UnitYield::Eda(Some(Err(diagnostic)))) => {
-                    report.eda_script.quarantined += 1;
-                    obs_stage(Stage::EdaScript, "<eda-pool>", "quarantined", 0);
-                    report.quarantines.push(QuarantineRecord {
-                        module: "<eda-pool>".to_string(),
-                        stage: Stage::EdaScript,
-                        diagnostic: diagnostic.clone(),
-                        panicked: true,
-                    });
-                }
-                UnitOutcome::Ok(UnitYield::Module(_)) => {
-                    unreachable!("module yield on the EDA unit")
-                }
-                UnitOutcome::Quarantined {
-                    diagnostic,
-                    panicked,
-                } => {
-                    report.eda_script.quarantined += 1;
-                    obs_stage(Stage::EdaScript, "<eda-pool>", "quarantined", 0);
-                    report.quarantines.push(QuarantineRecord {
-                        module: "<eda-pool>".to_string(),
-                        stage: Stage::EdaScript,
-                        diagnostic: diagnostic.clone(),
-                        panicked: *panicked,
-                    });
-                }
-            }
-        }
-    }
-
-    if opts.recycle_quarantined {
-        recycle_quarantines(corpus, &mut report, &mut ds);
-    }
-    ds.trim_by_token_len(opts.max_entry_tokens);
+    let (ds, report) = booking.finish();
     Ok((ds, report, summary))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::StageSet;
+    use crate::dataset::DataEntry;
+    use crate::pipeline::{Stage, StageSet};
 
     fn corpus(n: usize, seed: u64) -> Vec<CorpusModule> {
         dda_corpus::generate_corpus(n, &mut SmallRng::seed_from_u64(seed))

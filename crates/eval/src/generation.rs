@@ -145,18 +145,31 @@ pub fn run_testbench_verdict_with(
     generated: &str,
     opts: &SimOptions,
 ) -> TestbenchVerdict {
-    let src = format!("{generated}\n{}", problem.testbench);
+    run_testbench_source(generated, problem.testbench, "tb", opts)
+}
+
+/// Simulates `source` followed by `testbench`, with `top` as the top
+/// module, and reports the testbench's [`TestbenchVerdict`]. Suite
+/// problems and the daemon's inline testbenches both score through here.
+/// A panic inside the simulator is caught and surfaced as
+/// [`TestbenchVerdict::Crash`] carrying the panic message.
+pub fn run_testbench_source(
+    source: &str,
+    testbench: &str,
+    top: &str,
+    opts: &SimOptions,
+) -> TestbenchVerdict {
+    let src = format!("{source}\n{testbench}");
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
         || -> Result<TestbenchVerdict, TestbenchVerdict> {
             // The frontend result is memoized per thread: re-scoring the
             // same candidate (pass@k, repair loops) reuses the elaborated
             // design and its compiled bytecode instead of re-parsing.
-            let design = shared_design(&src, "tb").map_err(|e| match e {
+            let design = shared_design(&src, top).map_err(|e| match e {
                 FrontendError::Parse(m) => TestbenchVerdict::ParseError(m),
                 FrontendError::Elab(e) => TestbenchVerdict::ElabError(e.message),
             })?;
-            let mut sim = Simulator::from_design(design);
-            let result = sim
+            let result = Simulator::from_design(design)
                 .run(opts)
                 .map_err(|e| TestbenchVerdict::Timeout(e.to_string()))?;
             Ok(match parse_result(&result.output) {

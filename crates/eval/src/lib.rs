@@ -62,7 +62,7 @@ pub use agent::{
     ChainOutcome,
 };
 pub use generation::{
-    best_rate, cell_samples, eval_cell, run_testbench, run_testbench_verdict,
+    best_rate, cell_samples, eval_cell, run_testbench, run_testbench_source, run_testbench_verdict,
     run_testbench_verdict_with, GenCell, GenProtocol, TestbenchVerdict,
 };
 pub use models::{ModelId, ModelZoo, ZooOptions};

@@ -150,6 +150,9 @@ pub fn escape_into(out: &mut String, s: &str) {
     out.push_str(&s[run..]);
 }
 
+/// 2^63: the `i64` range is [-2^63, 2^63), the `u64` range [0, 2^64).
+const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+
 fn encode_value(out: &mut String, v: &Value) {
     match v {
         Value::Str(s) => {
@@ -164,8 +167,16 @@ fn encode_value(out: &mut String, v: &Value) {
             let _ = write!(out, "{n}");
         }
         Value::F64(n) => {
-            // Finite by contract; a Display float is valid JSON.
-            let _ = write!(out, "{n}");
+            // Finite by contract; a Display float is valid JSON. An
+            // integral one displays as an integer literal, which the
+            // parser reads as a `u64`/`i64`. From 2^64 up, and from -2^63
+            // down (Display rounds -2^63 itself to `...776000`), that
+            // literal overflows, so those take the exponent form instead.
+            if n.fract() == 0.0 && !(-TWO_63 < *n && *n < 2.0 * TWO_63) {
+                let _ = write!(out, "{n:e}");
+            } else {
+                let _ = write!(out, "{n}");
+            }
         }
         Value::Bool(b) => {
             let _ = write!(out, "{b}");
@@ -460,6 +471,49 @@ mod tests {
         assert_eq!(ev.field("v"), Some(&Value::I64(-3)));
         assert_eq!(ev.field("f"), Some(&Value::F64(1500.0)));
         assert_eq!(ev.field("b"), Some(&Value::Bool(true)));
+    }
+
+    #[test]
+    fn integral_floats_past_the_integer_range_round_trip() {
+        for v in [1e20, -1e20, 2.0 * TWO_63, -TWO_63, f64::MAX, f64::MIN] {
+            let line = encode(&Event::new("g").f64("t", v));
+            let back = parse(&line).unwrap_or_else(|| panic!("{line} does not parse"));
+            assert_eq!(back.field("t"), Some(&Value::F64(v)), "{line}");
+        }
+        // Bytes that parsed before keep their integer form.
+        for v in [1500.0, -0.0, 2.0 * TWO_63 - 2048.0, 1024.0 - TWO_63] {
+            let line = encode(&Event::new("g").f64("t", v));
+            assert_eq!(line, format!("{{\"ev\": \"g\", \"t\": {v}}}"));
+            assert!(parse(&line).is_some(), "{line}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Every finite float encodes to a line the parser accepts, back
+        /// to the same number; one whose `Display` form is not an
+        /// out-of-range integer keeps that form byte for byte.
+        #[test]
+        fn every_finite_float_encodes_to_a_parsable_line(bits in proptest::prelude::any::<u64>()) {
+            // Any bit pattern (an all-ones exponent cleared to stay
+            // finite), plus integral floats across both integer ranges.
+            let raw = f64::from_bits(bits);
+            let any = if raw.is_finite() { raw } else { f64::from_bits(bits & !(1 << 62)) };
+            for v in [any, bits as f64, bits as i64 as f64] {
+                let line = encode(&Event::new("g").f64("t", v));
+                let back = parse(&line);
+                proptest::prop_assert!(back.is_some(), "{line}");
+                let got = match back.unwrap().field("t") {
+                    Some(Value::F64(f)) => Some(*f),
+                    Some(Value::U64(n)) => Some(*n as f64),
+                    Some(Value::I64(n)) => Some(*n as f64),
+                    _ => None,
+                };
+                proptest::prop_assert_eq!(got, Some(v), "{line}");
+                if v.fract() != 0.0 || (-TWO_63 < v && v < 2.0 * TWO_63) {
+                    proptest::prop_assert!(line.ends_with(&format!(" {v}}}")), "{line}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,9 @@
 use crate::proto::{ErrorCode, ReqBody, RespBody};
 use dda_core::pipeline::{self, PipelineOptions, StageSet};
 use dda_corpus::{CorpusModule, Family};
-use dda_eval::generation::{run_testbench_verdict_with, testbench_sim_options, TestbenchVerdict};
+use dda_eval::generation::{
+    run_testbench_source, run_testbench_verdict_with, testbench_sim_options, TestbenchVerdict,
+};
 use dda_eval::{agent_batch, AgentBatchOptions, AgentProtocol};
 use dda_obs::event::escape;
 use dda_runtime::CancelToken;
@@ -350,7 +352,7 @@ fn run_score(
                 }
             }
         },
-        (None, Some(tb)) => score_inline(source, tb, top, &opts),
+        (None, Some(tb)) => run_testbench_source(source, tb, top, &opts),
         _ => {
             return RespBody::Error {
                 code: ErrorCode::BadRequest,
@@ -377,41 +379,6 @@ fn run_score(
         pass_rate: verdict.pass_rate(),
         detail,
         lanes,
-    }
-}
-
-/// Scores a candidate against an inline testbench by hitting the shared
-/// design cache directly, mirroring `run_testbench_verdict_with` for
-/// sources that aren't part of a registered suite.
-fn score_inline(
-    source: &str,
-    testbench: &str,
-    top: &str,
-    opts: &dda_sim::SimOptions,
-) -> TestbenchVerdict {
-    use dda_sim::cache::{shared_design, FrontendError};
-    use dda_sim::Simulator;
-    let src = format!("{source}\n{testbench}");
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-        || -> Result<TestbenchVerdict, TestbenchVerdict> {
-            let design = shared_design(&src, top).map_err(|e| match e {
-                FrontendError::Parse(m) => TestbenchVerdict::ParseError(m),
-                FrontendError::Elab(e) => TestbenchVerdict::ElabError(e.message),
-            })?;
-            let result = Simulator::from_design(design)
-                .run(opts)
-                .map_err(|e| TestbenchVerdict::Timeout(e.to_string()))?;
-            Ok(match dda_benchmarks::parse_result(&result.output) {
-                Some((pass, total)) if total > 0 => {
-                    TestbenchVerdict::Scored(pass as f64 / total as f64)
-                }
-                _ => TestbenchVerdict::Scored(0.0),
-            })
-        },
-    ));
-    match outcome {
-        Ok(Ok(v)) | Ok(Err(v)) => v,
-        Err(_) => TestbenchVerdict::Crash("simulator panic".to_string()),
     }
 }
 

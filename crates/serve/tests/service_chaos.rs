@@ -216,6 +216,32 @@ fn ascii_escaped_requests_are_answered() {
     server.join();
 }
 
+/// A float field past the integer range (`1e20` displays as a 21-digit
+/// integer) encodes in exponent form, so the daemon parses the request
+/// instead of answering `bad_request`.
+#[test]
+fn huge_float_fields_are_answered() {
+    let path = sock("hugefloat");
+    let server = Server::start(&path, &fast_opts()).unwrap();
+
+    let mut c = Client::connect(&path).unwrap();
+    let body = ReqBody::Generate {
+        instruct: "give me the Verilog module of this description.".to_string(),
+        prompt: "A 4-bit counter with synchronous reset.".to_string(),
+        temperature: 1e20,
+        seed: 1,
+    };
+    let resp = c.call(&req(6, body)).unwrap();
+    assert!(
+        matches!(resp.body, RespBody::Generated { .. }),
+        "expected ok, got {:?}",
+        resp.body
+    );
+
+    server.stop();
+    server.join();
+}
+
 #[test]
 fn mid_request_disconnect_is_survived() {
     let path = sock("middisc");

@@ -281,8 +281,9 @@ pub struct Simulator {
     /// `mem::take` during evaluation, so programs never observe each
     /// other's registers — they are written before read anyway).
     scratch: Vec<PackedVec>,
-    /// Recycled future-map buckets (see [`SimArena`]): `BTreeMap` nodes
-    /// cannot retain capacity across inserts, but their `Vec` payloads can.
+    /// Drained future-map buckets, kept for the run's next time slots (up
+    /// to 64; see [`Self::future_push`]): `BTreeMap` nodes cannot retain
+    /// capacity across inserts, but their `Vec` payloads can.
     bucket_pool: Vec<Vec<FutureEvent>>,
     /// Fused superinstructions executed (reported to dda-obs per run).
     fused_hits: u64,
@@ -1407,8 +1408,9 @@ impl Simulator {
         self.future_push(t, FutureEvent::Wake(p));
     }
 
-    /// Inserts a future event, reusing a pooled bucket for new time slots
-    /// so repeated runs through a [`SimArena`] stop allocating.
+    /// Inserts a future event, reusing a drained bucket from
+    /// `bucket_pool` for a new time slot, so a long run stops allocating
+    /// one per slot.
     fn future_push(&mut self, t: u64, ev: FutureEvent) {
         use std::collections::btree_map::Entry;
         match self.future.entry(t) {
@@ -1780,84 +1782,6 @@ fn apply_bin(op: BinaryOp, x: &PackedVec, y: &PackedVec, signed: bool) -> Packed
         BitXnor => x.bit_xnor(y),
         LogicAnd => x.log_and(y),
         LogicOr => x.log_or(y),
-    }
-}
-
-/// Recycled scheduler allocations for back-to-back runs of fresh
-/// [`Simulator`]s over the same (or different) designs.
-///
-/// A pass@k sweep builds one simulator per candidate; each run grows the
-/// ready deque, the future-map buckets, and the NBA/pending vectors from
-/// empty. An arena lends those containers to a simulator before `run` and
-/// reclaims them (cleared, capacity kept) afterwards, so steady-state sweep
-/// iterations stop hitting the allocator for scheduler state.
-///
-/// ```
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let sf = dda_verilog::parse(
-///     "module t; initial $finish; endmodule")?;
-/// let mut arena = dda_sim::SimArena::new();
-/// for _ in 0..3 {
-///     let mut sim = dda_sim::Simulator::new(&sf, "t")?;
-///     arena.lend(&mut sim);
-///     let r = sim.run(&dda_sim::SimOptions::default())?;
-///     arena.reclaim(&mut sim);
-///     assert!(r.finished);
-/// }
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Default)]
-pub struct SimArena {
-    ready: VecDeque<usize>,
-    buckets: Vec<Vec<FutureEvent>>,
-    nba: Vec<(WriteTarget, PackedVec)>,
-    pending: Vec<(SigId, PackedVec, PackedVec)>,
-    scratch: Vec<PackedVec>,
-}
-
-/// How many future-map buckets the arena keeps between runs.
-const ARENA_BUCKET_CAP: usize = 64;
-
-impl SimArena {
-    /// An empty arena; containers grow on first use and are kept after.
-    pub fn new() -> SimArena {
-        SimArena::default()
-    }
-
-    /// Moves the arena's containers into `sim`. Call before `run` on a
-    /// freshly built simulator.
-    pub fn lend(&mut self, sim: &mut Simulator) {
-        std::mem::swap(&mut sim.ready, &mut self.ready);
-        std::mem::swap(&mut sim.bucket_pool, &mut self.buckets);
-        std::mem::swap(&mut sim.nba, &mut self.nba);
-        std::mem::swap(&mut sim.pending, &mut self.pending);
-        std::mem::swap(&mut sim.scratch, &mut self.scratch);
-    }
-
-    /// Takes the containers back (cleared, capacity retained) so the next
-    /// simulator reuses their allocations.
-    pub fn reclaim(&mut self, sim: &mut Simulator) {
-        std::mem::swap(&mut sim.ready, &mut self.ready);
-        std::mem::swap(&mut sim.bucket_pool, &mut self.buckets);
-        std::mem::swap(&mut sim.nba, &mut self.nba);
-        std::mem::swap(&mut sim.pending, &mut self.pending);
-        std::mem::swap(&mut sim.scratch, &mut self.scratch);
-        self.ready.clear();
-        self.nba.clear();
-        self.pending.clear();
-        // Registers hold run values; drop them but keep the outer buffer.
-        self.scratch.clear();
-        // Buckets still parked in the future map (quiescent runs leave
-        // none; budget trips can) join the pool up to the cap.
-        for (_, mut b) in std::mem::take(&mut sim.future) {
-            if self.buckets.len() >= ARENA_BUCKET_CAP {
-                break;
-            }
-            b.clear();
-            self.buckets.push(b);
-        }
-        self.buckets.truncate(ARENA_BUCKET_CAP);
     }
 }
 

@@ -58,5 +58,5 @@ pub mod vcd;
 pub use batch::{run_batch, MAX_BATCH_LANES};
 pub use compile::{fusion_enabled, set_fusion};
 pub use elab::{elaborate, Design, ElabError, Process, ProcessKind, SigId, SignalDef};
-pub use exec::{EvalMode, RunError, RunErrorKind, SimArena, SimOptions, SimResult, Simulator};
+pub use exec::{EvalMode, RunError, RunErrorKind, SimOptions, SimResult, Simulator};
 pub use vcd::VcdRecorder;
